@@ -64,11 +64,6 @@ let git_commit =
 let seed = ref 42
 let set_seed s = seed := s
 
-(* Simulation throughput (application accesses simulated per host
-   second), measured once by the harness at startup; 0.0 until set. *)
-let sim_rate = ref 0.0
-let set_sim_rate r = sim_rate := r
-
 let stamp meta =
   let with_default key value meta =
     if List.mem_assoc key meta then meta else (key, value) :: meta
@@ -76,10 +71,6 @@ let stamp meta =
   meta
   |> with_default "commit" (Json.String (Lazy.force git_commit))
   |> with_default "seed" (Json.Int !seed)
-  |> fun meta ->
-  if !sim_rate > 0.0 then
-    with_default "sim_accesses_per_sec" (Json.Float !sim_rate) meta
-  else meta
 
 let json_line fields =
   match !json_out with

@@ -20,14 +20,6 @@ val set_seed : int -> unit
 (** Record the workload seed stamped into subsequent artifact headers
     (default 42, the bench suite's convention). *)
 
-val set_sim_rate : float -> unit
-(** Record the simulator's measured throughput (application accesses per
-    host wall-clock second).  Once set to a positive value, every
-    subsequent artifact header is stamped with a
-    ["sim_accesses_per_sec"] field — unless the caller's [meta] already
-    supplies it — so artifacts record how expensive they were to
-    produce. *)
-
 val close_json : unit -> unit
 
 val with_artifact :

@@ -231,6 +231,15 @@ let systems_of s =
       exit 1
   | l -> l
 
+(* Every JSON export: one document, one line, announced as
+   "<tag>: wrote <path>". *)
+let write_json ~tag path doc =
+  let oc = open_out path in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Fmt.pr "%s: wrote %s@." tag path
+
 (* "trace.jsonl" -> "trace.kona-vm.jsonl" when several systems share one
    --trace path. *)
 let per_system_path path sys ~single =
@@ -269,11 +278,7 @@ let export_results ~(spec : Workloads.spec) ~full ~seed ~metrics_json ~trace
             ("systems", Json.List docs);
           ]
       in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "metrics: wrote %s@." path);
+      write_json ~tag:"metrics" path doc);
   match trace with
   | None -> ()
   | Some path ->
@@ -300,37 +305,22 @@ let exit_status results =
   else if List.exists (fun r -> r.rr_degraded <> None) results then 2
   else 0
 
-let cmd_run workload systems fmem_pages replicas prefetch sq_depth
-    signal_interval fault_spec fault_seed check_replicas scrub_interval
-    verify_checksums retry_max backoff_base_ns heartbeat_ns lease_ns seed
-    metrics_json trace full =
-  let scale = scale_of full in
-  let spec =
-    match specs_of (Some workload) with [ s ] -> s | _ -> assert false
-  in
-  let faults = parse_fault_spec fault_spec in
-  let backoff = backoff_of ~retry_max ~backoff_base_ns in
-  let results =
-    List.map
-      (run_one ~spec ~scale ~seed ~fmem_pages ~replicas ~prefetch ~sq_depth
-         ~signal_interval ~faults ~fault_seed ~check_replicas ~scrub_interval
-         ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns)
-      (systems_of systems)
-  in
-  List.iter
-    (fun r ->
-      Fmt.pr "%s on %s: %a virtual time, footprint %a@." spec.Workloads.name
-        r.rr_system Units.pp_ns r.rr_elapsed Units.pp_bytes r.rr_footprint;
-      List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.rr_stats;
-      Fmt.pr "integrity: %s@."
-        (if r.rr_mismatches = 0 then "remote memory matches the heap"
-         else Printf.sprintf "%d PAGES DIVERGED" r.rr_mismatches);
-      report_faults r)
-    results;
-  export_results ~spec ~full ~seed ~metrics_json ~trace results;
-  exit_status results
+(* [run] and [stats] share one body and one flag set; only the
+   per-system printer differs. *)
+let print_run ~(spec : Workloads.spec) ~full:_ ~seed:_ r =
+  Fmt.pr "%s on %s: %a virtual time, footprint %a@." spec.Workloads.name
+    r.rr_system Units.pp_ns r.rr_elapsed Units.pp_bytes r.rr_footprint;
+  List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.rr_stats;
+  Fmt.pr "integrity: %s@."
+    (if r.rr_mismatches = 0 then "remote memory matches the heap"
+     else Printf.sprintf "%d PAGES DIVERGED" r.rr_mismatches)
 
-let cmd_stats workload systems fmem_pages replicas prefetch sq_depth
+let print_stats ~(spec : Workloads.spec) ~full ~seed r =
+  Fmt.pr "== %s on %s (%s, seed %d): %a ==@." spec.Workloads.name r.rr_system
+    (scale_name full) seed Units.pp_ns r.rr_elapsed;
+  Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub)
+
+let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
     signal_interval fault_spec fault_seed check_replicas scrub_interval
     verify_checksums retry_max backoff_base_ns heartbeat_ns lease_ns seed
     metrics_json trace full =
@@ -349,9 +339,7 @@ let cmd_stats workload systems fmem_pages replicas prefetch sq_depth
   in
   List.iter
     (fun r ->
-      Fmt.pr "== %s on %s (%s, seed %d): %a ==@." spec.Workloads.name
-        r.rr_system (scale_name full) seed Units.pp_ns r.rr_elapsed;
-      Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub);
+      print ~spec ~full ~seed r;
       report_faults r)
     results;
   export_results ~spec ~full ~seed ~metrics_json ~trace results;
@@ -507,11 +495,7 @@ let cmd_soak workload episodes master_seed scrub_interval repro_check
             ("episodes", Json.List (List.rev !docs));
           ]
       in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "soak: wrote %s@." path);
+      write_json ~tag:"soak" path doc);
   if !failed then begin
     Fmt.pr "soak: FAILED@.";
     1
@@ -672,11 +656,7 @@ let cmd_fuzz episodes ops master_seed replay repro_out metrics_json =
                 ("episodes", Json.List (List.rev !docs));
               ]
           in
-          let oc = open_out path in
-          output_string oc (Json.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "fuzz: wrote %s@." path);
+          write_json ~tag:"fuzz" path doc);
       if !failed then begin
         Fmt.pr "fuzz: FAILED (invariant violation)@.";
         5
@@ -965,11 +945,7 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
                 ("metrics", Snapshot.to_json r.Rack.r_snapshot);
               ]
           in
-          let oc = open_out path in
-          output_string oc (Json.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "metrics: wrote %s@." path);
+          write_json ~tag:"metrics" path doc);
       if !mismatches > 0 || !repro_failed then 1
       else if r.Rack.r_drain_failures > 0 then begin
         Fmt.pr "ops: DRAIN INCOMPLETE: %d page(s) not re-homed@."
@@ -1402,6 +1378,14 @@ let rack_fmem_pages =
            values thrash FMem and generate the fetch traffic placement \
            feeds on")
 
+let run_term print =
+  Term.(
+    const (cmd_run print) $ workload_req $ system $ fmem_pages $ replicas
+    $ prefetch $ sq_depth $ signal_interval $ fault_spec $ fault_seed
+    $ check_replicas $ scrub_interval_opt $ verify_checksums $ retry_max_opt
+    $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
+    $ metrics_json $ trace_out $ full)
+
 let cmds =
   [
     Cmd.v (Cmd.info "workloads" ~doc:"list Table 2 workloads")
@@ -1413,21 +1397,11 @@ let cmds =
     Cmd.v (Cmd.info "amp" ~doc:"dirty-data amplification (Table 2)")
       Term.(const cmd_amp $ workload_opt $ seed $ full);
     Cmd.v (Cmd.info "run" ~doc:"run a workload on remote-memory runtimes")
-      Term.(
-        const cmd_run $ workload_req $ system $ fmem_pages $ replicas $ prefetch
-        $ sq_depth $ signal_interval $ fault_spec $ fault_seed $ check_replicas
-        $ scrub_interval_opt $ verify_checksums $ retry_max_opt
-        $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
-        $ metrics_json $ trace_out $ full);
+      (run_term print_run);
     Cmd.v
       (Cmd.info "stats"
          ~doc:"run a workload and print the full telemetry table per system")
-      Term.(
-        const cmd_stats $ workload_req $ system $ fmem_pages $ replicas
-        $ prefetch $ sq_depth $ signal_interval $ fault_spec $ fault_seed
-        $ check_replicas $ scrub_interval_opt $ verify_checksums $ retry_max_opt
-        $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
-        $ metrics_json $ trace_out $ full);
+      (run_term print_stats);
     Cmd.v
       (Cmd.info "rack"
          ~doc:

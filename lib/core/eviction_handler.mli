@@ -8,7 +8,7 @@
     is off the application's critical path unless the cache is full.  Log
     writes staged here are delivered completion-driven — the bytes reach
     the memory node when the background clock passes the write's completion
-    time (driven by later posts, the {!Poller}, or the fence), subject to
+    time (driven by later posts, completion polls, or the fence), subject to
     the queue pair's send-window backpressure. *)
 
 type t

@@ -24,8 +24,7 @@ val create :
 
 val ensure_backed : t -> addr:int -> len:int -> unit
 (** Guarantee every page of [addr, addr+len) has a backing slab, allocating
-    (in batches) as needed.  AllocLib calls this on each interposed
-    allocation. *)
+    (in batches) as needed. *)
 
 val translate : t -> vaddr:int -> (int * int) option
 (** [(node, remote_addr)] for a backed VFMem address.  A page-grain

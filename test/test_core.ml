@@ -753,21 +753,6 @@ let test_runtime_prefetch_integrity () =
   check_bool "some useful" true (List.assoc "prefetch.useful" stats > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Alloc_lib *)
-
-let test_alloc_lib () =
-  let c = controller_with_nodes () in
-  let rm = Resource_manager.create ~controller:c () in
-  let a = Alloc_lib.create ~rm () in
-  let p = Alloc_lib.malloc a 100 in
-  check_bool "backed" true (Resource_manager.translate rm ~vaddr:p <> None);
-  let q = Alloc_lib.malloc a ~align:64 100 in
-  check_int "aligned" 0 (q mod 64);
-  Alloc_lib.free a ~addr:p ~len:100;
-  check_int "exact-size reuse" p (Alloc_lib.malloc a 100);
-  check_bool "live accounting" true (Alloc_lib.live_bytes a <= Alloc_lib.allocated_bytes a)
-
-(* ------------------------------------------------------------------ *)
 (* KCacheSim *)
 
 let test_kcachesim_amat_ordering () =
@@ -893,7 +878,7 @@ let test_ktracker_speedup_model () =
   Alcotest.(check (float 1e-6)) "100% when overhead = app time" 100. speedup
 
 (* ------------------------------------------------------------------ *)
-(* Cost model / poller *)
+(* Cost model *)
 
 let test_cost_model_profiles () =
   let cost = Cost_model.default in
@@ -905,17 +890,6 @@ let test_cost_model_profiles () =
   check_bool "infiniswap 40us" true (p_inf.Cost_model.remote_ns = 40_000.);
   check_bool "fmem slower than cmem" true
     (p_kona.Cost_model.dram_cache_ns > (Cost_model.kona_main cost).Cost_model.dram_cache_ns)
-
-let test_poller () =
-  let clock = Clock.create () in
-  let qp = Qp.create ~clock () in
-  let poller = Poller.create () in
-  Poller.register poller ~name:"evict" qp;
-  Qp.post qp [ Qp.wqe ~signaled:true Qp.Write ~len:64 ];
-  Alcotest.(check (list (pair string int))) "nothing ready" [] (Poller.poll poller);
-  Clock.advance clock 1_000_000;
-  Alcotest.(check (list (pair string int))) "reaped" [ ("evict", 1) ] (Poller.poll poller);
-  check_int "total reaped" 1 (Poller.reaped poller)
 
 let () =
   Alcotest.run "kona_core"
@@ -990,7 +964,6 @@ let () =
             test_prefetcher_bounded_dedup_table;
         ] );
       ("pml", [ Alcotest.test_case "drain model" `Quick test_ktracker_pml_model ]);
-      ("alloc_lib", [ Alcotest.test_case "malloc/free" `Quick test_alloc_lib ]);
       ( "kcachesim",
         [
           Alcotest.test_case "amat ordering" `Quick test_kcachesim_amat_ordering;
@@ -1005,5 +978,4 @@ let () =
         ] );
       ( "cost_model",
         [ Alcotest.test_case "profiles" `Quick test_cost_model_profiles ] );
-      ("poller", [ Alcotest.test_case "poll" `Quick test_poller ]);
     ]

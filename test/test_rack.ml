@@ -376,6 +376,97 @@ let test_placement_quota_conserved_by_migration () =
   check_bool "pages migrated under the quota" true (r.Rack.r_migrations > 0);
   check_int "no divergence" 0 (total_mismatches r)
 
+(* Cross-commit behaviour pins: the MD5 of the concatenated per-tenant
+   fingerprints of three fixed smoke racks.  Same-build determinism tests
+   cannot catch a refactor that changes behaviour consistently; these
+   digests were recorded from an earlier build, so they can.  A change
+   that alters rack behaviour on purpose must re-pin them. *)
+let fingerprint_digest (r : Rack.result) =
+  Array.to_list r.Rack.r_tenants
+  |> List.map (fun t -> t.Rack.t_fingerprint)
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let test_pinned_fingerprints () =
+  let heat_ops =
+    Rack.run
+      (placement_cfg
+         ~ops:
+           (Rack_ops.parse_exn
+              "add@3ms:cap=67108864;drain@5ms:id=1;rebalance@7ms")
+         ())
+      placement_tenants
+  in
+  let shm_rpc =
+    let e =
+      Rack.start
+        { Rack.default_config with Rack.shared_writers = 2 }
+        (List.init 3 (fun i ->
+             { Rack.name = Printf.sprintf "t%d" i;
+               workload = (if i = 1 then "kv-uniform" else "kv-seq");
+               bw_share = 1; mem_quota = None; seed = 42 + i }))
+    in
+    while Rack.step e > 0 do () done;
+    ignore (Kona_shmem.Shm_rpc.run e ~client:1 ~server:0 ~calls:16 ());
+    Rack.finish e
+  in
+  let lease =
+    let runtime =
+      { Rack.default_config.Rack.runtime with
+        Kona.Runtime.heartbeat_ns = Some 100_000; lease_ns = 1_000_000 }
+    in
+    Rack.run
+      { (cfg ~replicas:1
+           ~faults:
+             (Fault_spec.parse_exn
+                "partition@200us:dur=5ms,nodes=0;node-crash@2ms:id=1")
+           ())
+        with Rack.runtime }
+      (tenants ())
+  in
+  check_bool "ops ran and pages moved" true
+    (heat_ops.Rack.r_ops_applied = 3 && heat_ops.Rack.r_migrations > 0);
+  check_bool "the ring handed lines off" true (shm_rpc.Rack.r_handoffs > 0);
+  check_int "the crash happened" 1 lease.Rack.r_node_crashes;
+  Alcotest.(check (list string))
+    "fingerprint digests match the pinned values"
+    [
+      "27052d6d164c556d7858a0d384627e86";
+      "5dd997eb91a8e570d2ec1a9319a9d902";
+      "2816e122aa6ffabab4b7b48aff032c27";
+    ]
+    (List.map fingerprint_digest [ heat_ops; shm_rpc; lease ])
+
+(* Immediate ops the rack cannot honour are refused outright: neither
+   applied nor counted in [r_ops_applied].  The scheduled-op calendar,
+   by contrast, counts every op that falls due, even a refused add. *)
+let test_refused_immediate_ops () =
+  let finish e =
+    while Rack.step e > 0 do () done;
+    Rack.finish e
+  in
+  let e = Rack.start (cfg ()) (tenants ()) in
+  let nodes = Rack.node_count e in
+  (* no extra WFQ slots: the first immediate add has nowhere to go *)
+  Rack.apply_op e (Rack_ops.Add_node { capacity = None });
+  Rack.apply_op e (Rack_ops.Drain { id = nodes });
+  Rack.apply_op e (Rack_ops.Drain { id = -1 });
+  check_int "no node was added" nodes (Rack.node_count e);
+  Rack.apply_op e Rack_ops.Rebalance;
+  let r = finish e in
+  check_int "only the rebalance counts" 1 r.Rack.r_ops_applied;
+  check_int "nothing drained" 0 r.Rack.r_drained_pages;
+  check_int "node count unchanged" nodes (Rack.node_count e);
+  (* an immediate add takes the slot planned for the scheduled one *)
+  let e =
+    Rack.start
+      { (cfg ()) with Rack.ops = Rack_ops.parse_exn "add@1ms" }
+      (tenants ())
+  in
+  Rack.apply_op e (Rack_ops.Add_node { capacity = None });
+  let r = finish e in
+  check_int "one node added" (nodes + 1) (Rack.node_count e);
+  check_int "the refused scheduled add still counts" 2 r.Rack.r_ops_applied
+
 let test_rack_validates_tenants () =
   let raises f =
     try
@@ -435,6 +526,10 @@ let () =
             test_rack_multi_writer_determinism;
           Alcotest.test_case "validates tenants" `Quick
             test_rack_validates_tenants;
+          Alcotest.test_case "pinned fingerprints" `Quick
+            test_pinned_fingerprints;
+          Alcotest.test_case "refused immediate ops" `Quick
+            test_refused_immediate_ops;
         ] );
       ( "placement",
         [
