@@ -150,7 +150,8 @@ type t = {
      partitioned node is healthy but unreachable — heartbeats miss and
      CL-log deliveries are deferred (below) instead of lost. *)
   partition_until : (int, int) Hashtbl.t;
-  mutable deferred : (int * (unit -> unit)) list; (* (heal_ns, fire), FIFO *)
+  mutable deferred : (int * (unit -> unit)) Queue.t; (* (heal_ns, fire), FIFO *)
+  mutable deferred_heal : int; (* earliest pending heal_ns; max_int if none *)
   mutable partitions_started : int;
   mutable deferred_deliveries : int;
   mutable deferred_flushed : int;
@@ -585,31 +586,36 @@ let start_partition t ~dur_ns ~ids =
       Hashtbl.replace t.partition_until id (max cur heal))
     ids
 
-(* Replay deferred deliveries whose partition has healed, in defer order
-   (List.partition is stable, and the deferred list is appended FIFO). *)
+(* Fire [due] in order.  The pending queue is already replaced, so a
+   delivery deferred while firing queues behind the ones still pending. *)
+let fire_deferred t due =
+  Queue.iter
+    (fun (_, fire) ->
+      t.deferred_flushed <- t.deferred_flushed + 1;
+      fire ())
+    due
+
+(* Replay deferred deliveries whose partition has healed, in defer order.
+   A poll before the earliest pending heal is one comparison. *)
 let flush_healed_deferred t ~now =
-  match t.deferred with
-  | [] -> ()
-  | _ ->
-      let due, later = List.partition (fun (heal, _) -> heal <= now) t.deferred in
-      t.deferred <- later;
-      List.iter
-        (fun (_, fire) ->
-          t.deferred_flushed <- t.deferred_flushed + 1;
-          fire ())
-        due
+  if now >= t.deferred_heal then begin
+    let due = Queue.create () and later = Queue.create () in
+    Queue.iter
+      (fun ((heal, _) as d) -> Queue.push d (if heal <= now then due else later))
+      t.deferred;
+    t.deferred <- later;
+    t.deferred_heal <- Queue.fold (fun m (heal, _) -> min m heal) max_int later;
+    fire_deferred t due
+  end
 
 (* End-of-run msync: every partition heals eventually, so [drain] lands
    all deferred deliveries regardless of their heal time — fenced targets
    reject theirs as stale. *)
 let flush_deferred_all t =
   let all = t.deferred in
-  t.deferred <- [];
-  List.iter
-    (fun (_, fire) ->
-      t.deferred_flushed <- t.deferred_flushed + 1;
-      fire ())
-    all
+  t.deferred <- Queue.create ();
+  t.deferred_heal <- max_int;
+  fire_deferred t all
 
 (* Restore the replication degree as a resumable task: one 1 MiB chunk
    posted per [Recovery.step].  The source is re-read from the controller
@@ -920,7 +926,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       membership = None;
       recovery = Recovery.create ();
       partition_until = Hashtbl.create 4;
-      deferred = [];
+      deferred = Queue.create ();
+      deferred_heal = max_int;
       partitions_started = 0;
       deferred_deliveries = 0;
       deferred_flushed = 0;
@@ -993,7 +1000,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       if partitioned t ~id:node ~at:(elapsed_ns t) then begin
         let heal = Hashtbl.find t.partition_until node in
         t.deferred_deliveries <- t.deferred_deliveries + 1;
-        t.deferred <- t.deferred @ [ (heal, fire) ];
+        Queue.push (heal, fire) t.deferred;
+        t.deferred_heal <- min t.deferred_heal heal;
         true
       end
       else false);
@@ -1521,7 +1529,7 @@ let recovery_latency t = t.recovery_latency
 let membership t = t.membership
 let partition_active t ~id = partitioned t ~id ~at:(elapsed_ns t)
 let partitions_started t = t.partitions_started
-let deferred_pending t = List.length t.deferred
+let deferred_pending t = Queue.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
 let recovery_idle t = Recovery.idle t.recovery
 let recovery_counters t = Recovery.counters t.recovery

@@ -332,6 +332,214 @@ let test_memory_node_validation () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Sparse memory-node store *)
+
+module Crc32c = Kona_util.Crc32c
+
+let chunk = Units.kib 64
+let store_cap = Units.mib 2
+let page = Units.page_size
+
+(* Flat reference model of a memory node's store: every byte in one
+   [Bytes.t], per-line CRCs recomputed on every check (no memo, no
+   chunks). *)
+type model = { bytes : Bytes.t; crcs : int array; recorded : bool array }
+
+let model_create () =
+  let lines = store_cap / 64 in
+  { bytes = Bytes.make store_cap '\000'; crcs = Array.make lines 0;
+    recorded = Array.make lines false }
+
+let model_crc m l = Crc32c.digest_bytes m.bytes ~pos:(l * 64) ~len:64
+let model_ok m l = (not m.recorded.(l)) || m.crcs.(l) = model_crc m l
+
+let model_record m l crc =
+  m.crcs.(l) <- crc;
+  m.recorded.(l) <- true
+
+let model_verify m ~addr ~len =
+  List.filter_map
+    (fun l -> if model_ok m l then None else Some (l * 64))
+    (List.init (((addr + len - 1) / 64) - (addr / 64) + 1) (fun i -> (addr / 64) + i))
+
+type store_op =
+  | Write of int * int * int (* addr, len, fill seed *)
+  | Log of int * int * int option (* line addr, lines, torn line *)
+  | Flip of int * int (* line addr, bit *)
+  | Read of int * int
+  | Verify of int * int
+
+let show_store_op = function
+  | Write (a, n, s) -> Printf.sprintf "write %#x+%d/%d" a n s
+  | Log (a, n, t) ->
+      Printf.sprintf "log %#x x%d%s" a n
+        (match t with Some i -> Printf.sprintf " torn@%d" i | None -> "")
+  | Flip (a, b) -> Printf.sprintf "flip %#x.%d" a b
+  | Read (a, n) -> Printf.sprintf "read %#x+%d" a n
+  | Verify (a, n) -> Printf.sprintf "verify %#x+%d" a n
+
+let fill ~len ~seed = String.init len (fun i -> Char.chr ((seed + (i * 7)) land 255))
+
+(* Addresses cluster on the pages around three chunk boundaries, so ops
+   collide (a verify meets a flip meets a log) and ranges straddle
+   chunks; the rest are uniform, mostly in never-written chunks. *)
+let gen_store_op =
+  let open QCheck.Gen in
+  let addr ~len =
+    let clamp a = max 0 (min a (store_cap - len)) in
+    frequency
+      [
+        ( 4,
+          map2
+            (fun b d -> clamp ((b * chunk) + d - (len / 2)))
+            (oneofl [ 1; 2; 17 ])
+            (int_range (-2 * page) (2 * page)) );
+        (1, int_bound (store_cap - len));
+      ]
+  in
+  let line_addr ~len = map (fun a -> a land lnot 63) (addr ~len) in
+  let pages = int_range 1 3 >|= fun n -> n * page in
+  frequency
+    [
+      (3, int_range 1 300 >>= fun len ->
+          map2 (fun a s -> Write (a, len, s)) (addr ~len) (int_bound 255));
+      (1, map2 (fun a s -> Write (a, Units.mib 1, s)) (addr ~len:(Units.mib 1))
+            (int_bound 255));
+      (3, int_range 1 4 >>= fun n ->
+          map2 (fun a t -> Log (a, n, t)) (line_addr ~len:(n * 64))
+            (opt ~ratio:0.3 (int_bound (n - 1))));
+      (3, map2 (fun a b -> Flip (a, b)) (line_addr ~len:64) (int_bound 511));
+      (2, int_range 1 (2 * page) >>= fun len ->
+          map (fun a -> Read (a, len)) (addr ~len));
+      (2, pages >>= fun len ->
+          map (fun a -> Verify (a land lnot (page - 1), len)) (addr ~len));
+      (1, int_range 1 300 >>= fun len -> map (fun a -> Verify (a, len)) (addr ~len));
+    ]
+
+let prop_sparse_store_matches_flat_model =
+  QCheck.Test.make ~name:"sparse store matches a flat reference model" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_store_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_store_op))
+    (fun ops ->
+      let node = Memory_node.create ~id:0 ~capacity:store_cap in
+      let m = model_create () in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      List.iter
+        (fun op ->
+          match op with
+          | Write (addr, len, seed) ->
+              let data = fill ~len ~seed in
+              Memory_node.write node ~addr ~data;
+              Bytes.blit_string data 0 m.bytes addr len;
+              for l = addr / 64 to (addr + len - 1) / 64 do
+                model_record m l (model_crc m l)
+              done
+          | Log (addr, n, torn) ->
+              let data = fill ~len:(n * 64) ~seed:(addr / 64) in
+              let e = Memory_node.entry ~addr ~data in
+              let e =
+                match torn with
+                | None -> e
+                | Some i ->
+                    let b = Bytes.of_string data in
+                    Bytes.set b ((i * 64) + 5) (Char.chr (Char.code data.[(i * 64) + 5] lxor 1));
+                    { e with Memory_node.data = Bytes.to_string b }
+              in
+              let r = Memory_node.receive_log node [ e ] in
+              let healed = ref [] and rejected = ref [] in
+              for i = 0 to n - 1 do
+                let l = (addr / 64) + i in
+                if torn = Some i then rejected := (l * 64) :: !rejected
+                else begin
+                  if m.recorded.(l) && not (model_ok m l) then healed := (l * 64) :: !healed;
+                  Bytes.blit_string e.Memory_node.data (i * 64) m.bytes (l * 64) 64;
+                  model_record m l e.Memory_node.crcs.(i)
+                end
+              done;
+              if r.Memory_node.rejected <> List.rev !rejected
+                 || r.Memory_node.healed <> List.rev !healed
+                 || r.Memory_node.applied_lines <> n - List.length !rejected
+              then fail "%s: report differs" (show_store_op op)
+          | Flip (addr, bit) ->
+              let l = addr / 64 in
+              let expect =
+                if m.recorded.(l) && model_ok m l then `Fresh else `Already_corrupt
+              in
+              let byte = addr + (bit / 8) in
+              Bytes.set m.bytes byte
+                (Char.chr (Char.code (Bytes.get m.bytes byte) lxor (1 lsl (bit land 7))));
+              if Memory_node.corrupt_bit node ~addr ~bit <> expect then
+                fail "%s: freshness differs" (show_store_op op)
+          | Read (addr, len) ->
+              let want = Bytes.sub_string m.bytes addr len in
+              if Memory_node.read node ~addr ~len <> want
+                 || Memory_node.peek node ~addr ~len <> want
+              then fail "%s: bytes differ" (show_store_op op)
+          | Verify (addr, len) ->
+              if Memory_node.verify_range node ~addr ~len <> model_verify m ~addr ~len
+              then fail "%s: corrupt lines differ" (show_store_op op))
+        ops;
+      (* Whole-store sweep, twice: the second pass runs on the memo. *)
+      for _ = 1 to 2 do
+        if Memory_node.verify_range node ~addr:0 ~len:store_cap
+           <> model_verify m ~addr:0 ~len:store_cap
+        then fail "final sweep differs"
+      done;
+      Memory_node.peek node ~addr:0 ~len:store_cap = Bytes.to_string m.bytes
+      && Memory_node.capacity node = store_cap
+      && Memory_node.used node = 0)
+
+(* The verified-clean memo against each mutation path.  Every case
+   first verifies a written page clean, which sets the page's memo bit.
+   [corrupt_bit] changes bytes without re-recording, so a flip that left
+   the bit set would hide from the next verify; [receive_log] and
+   [write] land bytes together with their CRCs, and must leave the page
+   verifying (and reading) exactly as the new bytes say. *)
+let memo_page () =
+  let node = Memory_node.create ~id:0 ~capacity:(Units.kib 256) in
+  let addr = chunk - page in
+  Memory_node.write node ~addr ~data:(fill ~len:page ~seed:1);
+  Alcotest.(check (list int)) "verifies clean" []
+    (Memory_node.verify_range node ~addr ~len:page);
+  (node, addr)
+
+let check_lines = Alcotest.(check (list int))
+
+let test_memo_flip () =
+  let node, addr = memo_page () in
+  let line = addr + (5 * 64) in
+  check_bool "flip arms a fresh corruption" true
+    (Memory_node.corrupt_bit node ~addr:line ~bit:9 = `Fresh);
+  check_lines "next verify reports the flip" [ line ]
+    (Memory_node.verify_range node ~addr ~len:page);
+  check_lines "and the next" [ line ] (Memory_node.verify_range node ~addr ~len:page)
+
+let test_memo_log () =
+  let node, addr = memo_page () in
+  let line = addr + (7 * 64) in
+  let data = String.make 64 'L' in
+  let r = Memory_node.receive_log node [ Memory_node.entry ~addr:line ~data ] in
+  check_int "line applied" 1 r.Memory_node.applied_lines;
+  check_lines "verifies clean after the log" []
+    (Memory_node.verify_range node ~addr ~len:page);
+  Alcotest.(check string) "new bytes" data (Memory_node.peek node ~addr:line ~len:64);
+  check_bool "a later flip of the logged line is fresh" true
+    (Memory_node.corrupt_bit node ~addr:line ~bit:0 = `Fresh);
+  check_lines "and is reported" [ line ] (Memory_node.verify_range node ~addr ~len:page)
+
+let test_memo_repair () =
+  let node, addr = memo_page () in
+  let line = addr + (63 * 64) in
+  let good = Memory_node.peek node ~addr:line ~len:64 in
+  ignore (Memory_node.corrupt_bit node ~addr:line ~bit:511);
+  check_lines "flip reported" [ line ] (Memory_node.verify_range node ~addr ~len:page);
+  Memory_node.write node ~addr:line ~data:good;
+  check_lines "repair clears the report" []
+    (Memory_node.verify_range node ~addr ~len:page);
+  Alcotest.(check string) "repaired bytes" good (Memory_node.peek node ~addr:line ~len:64)
+
+(* ------------------------------------------------------------------ *)
 (* Runtime: end-to-end *)
 
 let make_runtime ?(fmem_pages = 64) ?(capacity = Units.mib 4) () =
@@ -921,7 +1129,12 @@ let () =
             test_cl_log_empty_fence_costs_nothing;
           Alcotest.test_case "orphan write-through" `Quick test_dirty_tracker_orphan_path;
           Alcotest.test_case "memory node validation" `Quick test_memory_node_validation;
+          Alcotest.test_case "memo: flip is reported" `Quick test_memo_flip;
+          Alcotest.test_case "memo: log lands clean" `Quick test_memo_log;
+          Alcotest.test_case "memo: repair clears" `Quick test_memo_repair;
         ] );
+      ( "memnode-props",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_sparse_store_matches_flat_model ] );
       ( "cl_log-props",
         [ QCheck_alcotest.to_alcotest ~long:false prop_cl_log_breakdown_sums_to_clock ] );
       ( "runtime-props",

@@ -50,28 +50,29 @@ let test_crc32c_bit_sensitivity () =
 
 let test_checksums_record_verify () =
   let store = Bytes.make 512 '\000' in
+  let crc line = Crc32c.digest_bytes store ~pos:(line * 64) ~len:64 in
   let chk = Checksums.create ~capacity:512 in
   check_int "nothing recorded" 0 (Checksums.recorded_count chk);
   (* Unrecorded lines never report corruption. *)
-  check_bool "unrecorded is ok" true (Checksums.line_ok chk ~store ~line:0);
+  check_bool "unrecorded is ok" true (Checksums.line_ok chk ~crc ~line:0);
   check_int "no corrupt lines" 0
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512));
+    (List.length (Checksums.corrupt_lines chk ~crc ~addr:0 ~len:512));
   Bytes.blit_string (String.make 128 'x') 0 store 64 128;
-  Checksums.record chk ~store ~addr:64 ~len:128;
+  Checksums.record chk ~crc ~addr:64 ~len:128;
   check_int "two lines recorded" 2 (Checksums.recorded_count chk);
   check_bool "recorded" true (Checksums.recorded chk ~line:1);
-  check_bool "clean" true (Checksums.line_ok chk ~store ~line:1);
+  check_bool "clean" true (Checksums.line_ok chk ~crc ~line:1);
   (* Corrupt one byte of line 2: only that line reports. *)
   Bytes.set store 130 'y';
   check_int "line 2 corrupt" 1
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512));
-  (match Checksums.corrupt_lines chk ~store ~addr:0 ~len:512 with
+    (List.length (Checksums.corrupt_lines chk ~crc ~addr:0 ~len:512));
+  (match Checksums.corrupt_lines chk ~crc ~addr:0 ~len:512 with
   | [ addr ] -> check_int "corrupt addr is line-aligned" 128 addr
   | _ -> Alcotest.fail "expected one corrupt line");
   (* Re-recording over the corruption accepts the new bytes as truth. *)
-  Checksums.record chk ~store ~addr:128 ~len:64;
+  Checksums.record chk ~crc ~addr:128 ~len:64;
   check_int "re-record clears" 0
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512))
+    (List.length (Checksums.corrupt_lines chk ~crc ~addr:0 ~len:512))
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer *)

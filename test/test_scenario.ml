@@ -243,6 +243,23 @@ let test_execute_deterministic () =
   check_bool "bit flips armed" true
     (List.assoc "integrity.flips_armed" a.Episode.oc_integrity > 0)
 
+(* Cross-commit behaviour pin: the MD5 of the concatenated fingerprints
+   of the first three episodes [konactl fuzz --seed 7 --ops 10] runs,
+   recorded from an earlier build.  Same-build determinism cannot catch
+   a change that alters episodes consistently (say, a store or scrubber
+   optimisation); this can.  A change to episode behaviour on purpose
+   must re-pin it. *)
+let test_pinned_fuzz_fingerprints () =
+  let rng = Kona_util.Rng.create ~seed:7 in
+  let fingerprints =
+    List.init 3 (fun _ ->
+        let seed = Kona_util.Rng.int rng 1_000_000 in
+        (Episode.execute (Gen.generate ~seed ~ops:10)).Episode.oc_fingerprint)
+  in
+  check_string "fuzz --seed 7 --ops 10, episodes 0-2"
+    "883bf06807f08c30f5ffd372accf8dda"
+    (String.concat "" fingerprints |> Digest.string |> Digest.to_hex)
+
 let test_execute_rack_ops () =
   let spec =
     {
@@ -468,6 +485,8 @@ let () =
         [
           Alcotest.test_case "deterministic fingerprints" `Quick
             test_execute_deterministic;
+          Alcotest.test_case "pinned fuzz fingerprints" `Quick
+            test_pinned_fuzz_fingerprints;
           Alcotest.test_case "rack ops" `Quick test_execute_rack_ops;
           Alcotest.test_case "partition mid-drain" `Quick
             test_partition_mid_drain;
