@@ -49,7 +49,6 @@ type config = {
   rdma : Kona_rdma.Cost.t;
   cache_config : Hierarchy.config;
   cache_pages : int;
-  cache_assoc : int;
   write_protect : bool;
   page_bytes : int;
   sq_depth : int option;
@@ -63,7 +62,6 @@ let default_config =
     rdma = Kona_rdma.Cost.default;
     cache_config = Hierarchy.default_config;
     cache_pages = 1024;
-    cache_assoc = 4;
     write_protect = true;
     page_bytes = Units.page_size;
     sq_depth = None;
@@ -175,7 +173,7 @@ let create ?(config = default_config) ?nic ?hub ~profile ~controller ~read_local
         Hierarchy.create ~config:config.cache_config
           ~on_fill:(fun ~addr:_ ~write:_ -> ())
           ();
-      page_cache = Fmem.create ~assoc:config.cache_assoc ~pages:config.cache_pages ();
+      page_cache = Fmem.create ~pages:config.cache_pages ();
       pt = Page_table.create ();
       tlb = Tlb.create ();
       rm =
@@ -366,6 +364,4 @@ let stats t =
     ("page_hits", t.page_hits);
   ]
 
-let page_table t = t.pt
-let tlb t = t.tlb
 let resource_manager t = t.rm

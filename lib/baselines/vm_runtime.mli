@@ -30,8 +30,8 @@ type config = {
   cost : Kona.Cost_model.t;
   rdma : Kona_rdma.Cost.t;
   cache_config : Kona_cachesim.Hierarchy.config;
-  cache_pages : int;  (** local DRAM page-cache capacity (in [page_bytes] units) *)
-  cache_assoc : int;
+  cache_pages : int;
+      (** local DRAM page-cache capacity (in [page_bytes] units), 4-way *)
   write_protect : bool;
       (** [false] = the paper's NoWP variant: one fault per fetch, but no
           dirty tracking, so every evicted page must be written back. *)
@@ -73,11 +73,7 @@ val create :
 val sink : t -> Kona_trace.Access.t -> unit
 val drain : t -> unit
 
-val app_ns : t -> int
-val bg_ns : t -> int
 val elapsed_ns : t -> int
 val stats : t -> (string * int) list
 
-val page_table : t -> Kona_vm.Page_table.t
-val tlb : t -> Kona_vm.Tlb.t
 val resource_manager : t -> Kona.Resource_manager.t

@@ -5,7 +5,6 @@ module Tracer = Kona_telemetry.Tracer
 
 type t = {
   cost : Cost_model.t;
-  fetch_block : int;
   mce_threshold_ns : int option;
   fmem : Fmem.t;
   rm : Resource_manager.t;
@@ -36,14 +35,10 @@ let note_victim t (victim : Fmem.victim) =
   Hashtbl.remove t.prefetched victim.Fmem.vpage;
   t.on_victim ~vpage:victim.Fmem.vpage ~dirty:victim.Fmem.dirty_lines
 
-let create ~cost ?(fetch_block = Units.page_size) ?mce_threshold_ns ?prefetch_qp ?tracer
-    ~fmem ~rm ~fetch_qp ~on_victim () =
-  if fetch_block < Units.page_size || fetch_block mod Units.page_size <> 0 then
-    invalid_arg "Caching_handler: fetch_block must be a positive multiple of the page size";
+let create ~cost ?mce_threshold_ns ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp ~on_victim () =
   let t =
     {
       cost;
-      fetch_block;
       mce_threshold_ns;
       fmem;
       rm;
@@ -148,12 +143,9 @@ let on_fill t ~addr =
     (match t.prefetcher with
     | Some p -> Prefetcher.observe_miss p ~vpage
     | None -> ());
-    (* Fetch the whole block containing the page. *)
-    let pages_per_block = t.fetch_block / Units.page_size in
-    let first = vpage - (vpage mod pages_per_block) in
-    for p = first to first + pages_per_block - 1 do
-      if not (Fmem.lookup t.fmem ~vpage:p) then fetch_page t ~vpage:p
-    done;
+    (* Always a miss (the prefetcher never targets [vpage] itself); the
+       lookup stays because FMem's exported per-set miss counts include it. *)
+    if not (Fmem.lookup t.fmem ~vpage) then fetch_page t ~vpage;
     Clock.advance (app_clock t) (int_of_float t.cost.Cost_model.fmem_ns)
   end
 

@@ -3,10 +3,10 @@
 
     On an LLC miss to VFMem the directory consults FMem: a hit costs one
     FPGA-memory access (NUMA-like latency); a miss triggers an on-demand
-    RDMA read of the enclosing fetch block (a page by default — FMem always
-    caches whole pages, §4.4) on the {e application's} clock, since demand
-    misses are synchronous.  Inserting the fetched page may produce an FMem
-    victim, which is handed to the eviction handler (background clock).
+    RDMA read of the page (FMem always caches whole pages, §4.4) on the
+    {e application's} clock, since demand misses are synchronous.
+    Inserting the fetched page may produce an FMem victim, which is
+    handed to the eviction handler (background clock).
 
     There are no page faults anywhere on this path.
 
@@ -21,7 +21,6 @@ type t
 
 val create :
   cost:Cost_model.t ->
-  ?fetch_block:int ->
   ?mce_threshold_ns:int ->
   ?prefetch_qp:Kona_rdma.Qp.t ->
   ?tracer:Kona_telemetry.Tracer.t ->
@@ -31,8 +30,7 @@ val create :
   on_victim:(vpage:int -> dirty:Kona_util.Bitmap.t -> unit) ->
   unit ->
   t
-(** [fetch_block] bytes per remote fetch (default one page; must be a
-    multiple of the page size — sub-page blocks are modeled by KCacheSim
+(** Every fetch moves one page (sub-page blocks are modeled by KCacheSim
     only).  [fetch_qp] must be clocked by the application thread.
 
     [prefetch_qp] enables next-page stream prefetching (see

@@ -22,9 +22,7 @@ type config = {
   rdma : Kona_rdma.Cost.t;
   cache_config : Hierarchy.config;
   fmem_pages : int;
-  fmem_assoc : int;
   fmem_policy : Fmem.policy;
-  fetch_block : int;
   log_capacity : int;
   replicas : int;
   mce_threshold_ns : int option;
@@ -36,7 +34,6 @@ type config = {
   arm_injector : bool;
   check_replicas : bool;
   scrub_interval_ns : int option;
-  scrub_budget : int;
   verify_checksums : bool;
   tenant : string option;
   stream_base : int;
@@ -51,9 +48,7 @@ let default_config =
     rdma = Kona_rdma.Cost.default;
     cache_config = Hierarchy.default_config;
     fmem_pages = 1024;
-    fmem_assoc = 4;
     fmem_policy = Fmem.Lru;
-    fetch_block = Units.page_size;
     log_capacity = 512;
     replicas = 0;
     mce_threshold_ns = None;
@@ -65,7 +60,6 @@ let default_config =
     arm_injector = false;
     check_replicas = false;
     scrub_interval_ns = None;
-    scrub_budget = 8;
     verify_checksums = false;
     tenant = None;
     stream_base = 0;
@@ -816,8 +810,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   in
   let rm = Resource_manager.create ~rpc ?tenant:config.tenant ~controller () in
   let fmem =
-    Fmem.create ~assoc:config.fmem_assoc ~policy:config.fmem_policy
-      ~pages:config.fmem_pages ()
+    Fmem.create ~policy:config.fmem_policy ~pages:config.fmem_pages ()
   in
   let directory = Directory.create () in
   let replication =
@@ -885,7 +878,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     ref (fun ~vpage:_ ~dirty:_ -> ())
   in
   let caching =
-    Caching_handler.create ~cost:config.cost ~fetch_block:config.fetch_block
+    Caching_handler.create ~cost:config.cost
       ?mce_threshold_ns:config.mce_threshold_ns ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp
       ~on_victim:(fun ~vpage ~dirty ->
         let shipped = Eviction_handler.evict evictor ~vpage ~dirty in
@@ -991,8 +984,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
           (Kona_rdma.Cost.memcpy_ns config.rdma ~bytes:Units.page_size);
         verify_and_repair_page t ~vpage:page
       in
-      t.scrubber <-
-        Some (Scrubber.create ~interval_ns:interval ~budget:config.scrub_budget ~scan ~check)
+      (* 8 pages verified per tick bound the background-clock burst of a poll *)
+      t.scrubber <- Some (Scrubber.create ~interval_ns:interval ~budget:8 ~scan ~check)
   | None -> ());
   (* Partition gate: a delivery completing inside a partition window of
      its physical target is captured and deferred until heal time. *)
@@ -1480,7 +1473,6 @@ let invalidations_received t = t.invalidations_received
    which delivered writeback lines are stale (ownership revoked, newer
    value already home) — see {!Cl_log.set_stale_filter}. *)
 let set_writeback_filter t f = Cl_log.set_stale_filter t.log f
-let stale_writebacks t = Cl_log.stale_lines t.log
 
 (* Page migration support.  Staged CL-log entries resolve (node, raddr)
    at append time, so the migrator flushes before any remap; the remap
@@ -1520,7 +1512,6 @@ let arm_fault t clause =
           Nic.inject_outage t.nic ~at:(elapsed_ns t) ~duration:dur_ns
       | _ -> ());
       Injector.arm inj clause
-let controller t = t.controller
 let node_crashes t = t.node_crashes
 let failover_latency t = t.failover_latency
 let recovery_latency t = t.recovery_latency
@@ -1532,7 +1523,6 @@ let partitions_started t = t.partitions_started
 let deferred_pending t = Queue.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
 let recovery_idle t = Recovery.idle t.recovery
-let recovery_counters t = Recovery.counters t.recovery
 let step_recovery t = Recovery.step t.recovery ~now:(elapsed_ns t)
 let set_on_fence t f = t.on_fence := f
 let adopt_fencing_epoch t ~epoch = Cl_log.advance_epoch t.log ~to_:epoch
@@ -1547,9 +1537,5 @@ let false_positives t =
 
 let declared_dead t =
   match t.membership with Some m -> Membership.declared_dead m | None -> 0
-let hub t = t.hub
 let resource_manager t = t.rm
-let fmem t = t.fmem
-let hierarchy t = t.hierarchy
 let cl_log t = t.log
-let directory t = t.directory

@@ -22,10 +22,8 @@ type config = {
   cost : Cost_model.t;
   rdma : Kona_rdma.Cost.t;
   cache_config : Kona_cachesim.Hierarchy.config;
-  fmem_pages : int;  (** local DRAM cache capacity, in 4KB frames *)
-  fmem_assoc : int;
+  fmem_pages : int;  (** local DRAM cache capacity, in 4KB frames (4-way) *)
   fmem_policy : Kona_coherence.Fmem.policy;
-  fetch_block : int;  (** bytes fetched per FMem miss (multiple of 4KB) *)
   log_capacity : int;  (** CL-log entries per memory node before auto-flush *)
   replicas : int;  (** eviction replication degree (§4.5); 0 = off *)
   mce_threshold_ns : int option;
@@ -62,10 +60,8 @@ type config = {
   scrub_interval_ns : int option;
       (** background scrub-and-repair: walk every backed FMem page's
           at-rest checksums once per interval (virtual background clock),
-          repairing corrupt lines from live replicas.  [None] = off *)
-  scrub_budget : int;
-      (** pages verified per scrubber tick once a sweep is due — bounds
-          the background-clock burst each poll (default 8) *)
+          repairing corrupt lines from live replicas, at most 8 pages per
+          poll.  [None] = off *)
   verify_checksums : bool;
       (** verify per-line checksums of the remote page on every
           synchronous demand fetch (and re-read once when a stale read is
@@ -223,8 +219,6 @@ val recovery_pending : t -> string list
 
 val recovery_idle : t -> bool
 
-val recovery_counters : t -> (string * int) list
-
 val step_recovery :
   t -> [ `Idle | `Stepped of string | `Finished of string ]
 (** Advance the in-flight recovery task one bounded unit — the rack
@@ -317,9 +311,6 @@ val set_writeback_filter : t -> (node:int -> addr:int -> data:string -> bool) ->
     deliver after the line's next owner already wrote back a newer
     value, and the home drops exactly those lines. *)
 
-val stale_writebacks : t -> int
-(** Cache-lines the stale-writeback filter dropped at delivery. *)
-
 val flush_log : t -> unit
 (** Flush the CL log's staged buffers.  The migrator calls this before
     remapping: staged entries resolve (node, raddr) at append time and
@@ -367,15 +358,5 @@ val arm_fault : t -> Kona_faults.Fault_spec.clause -> unit
     clause's duration now; [Node_crash] joins the crash calendar.
     @raise Invalid_argument when the runtime has no injector. *)
 
-val controller : t -> Rack_controller.t
-(** The rack controller passed at [create] (failover retargets logical
-    node ids inside it). *)
-
-val hub : t -> Kona_telemetry.Hub.t option
-(** The telemetry hub passed at [create], if any. *)
-
 val resource_manager : t -> Resource_manager.t
-val fmem : t -> Kona_coherence.Fmem.t
-val hierarchy : t -> Kona_cachesim.Hierarchy.t
 val cl_log : t -> Cl_log.t
-val directory : t -> Kona_coherence.Directory.t

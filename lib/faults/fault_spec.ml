@@ -1,3 +1,5 @@
+module Clause = Kona_util.Clause
+
 type clause =
   | Node_crash of { at_ns : int; id : int }
   | Link_flap of { at_ns : int; dur_ns : int }
@@ -13,202 +15,97 @@ type clause =
 type t = clause list
 
 (* ------------------------------------------------------------------ *)
-(* Parsing *)
+(* The kind table *)
 
-exception Bad of string
+let scheduled keys f c =
+  let at_ns = Clause.require_at c in
+  Clause.known c keys;
+  f c at_ns
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let probabilistic keys f c =
+  Clause.no_at c;
+  Clause.known c keys;
+  f c (Clause.get c "p" Clause.prob)
 
-(* "200us" -> 200_000; bare integers are nanoseconds. *)
-let duration_of_string s =
-  let num, mult =
-    let n = String.length s in
-    let split k m = (String.sub s 0 (n - k), m) in
-    if n >= 2 && String.sub s (n - 2) 2 = "ns" then split 2 1
-    else if n >= 2 && String.sub s (n - 2) 2 = "us" then split 2 1_000
-    else if n >= 2 && String.sub s (n - 2) 2 = "ms" then split 2 1_000_000
-    else if n >= 1 && s.[n - 1] = 's' then split 1 1_000_000_000
-    else (s, 1)
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> v * mult
-  | Some _ | None -> bad "bad duration %S (expected e.g. 500ns, 200us, 2ms, 1s)" s
+let scheduled_table =
+  [
+    ( "node-crash",
+      scheduled [ "id" ] (fun c at_ns ->
+          Node_crash { at_ns; id = Clause.get c "id" Clause.int }) );
+    ( "link-flap",
+      scheduled [ "dur" ] (fun c at_ns ->
+          Link_flap { at_ns; dur_ns = Clause.get c "dur" Clause.dur }) );
+    (* Asymmetric partition: the named nodes stay alive but their links
+       drop control + data traffic for the window — distinct from the
+       fail-stop [node-crash]. *)
+    ( "partition",
+      scheduled [ "dur"; "nodes" ] (fun c at_ns ->
+          Partition
+            {
+              at_ns;
+              dur_ns = Clause.get c "dur" Clause.pos_dur;
+              ids = Clause.get c "nodes" (Clause.list Clause.nonneg);
+            }) );
+  ]
 
-let prob_of_string s =
-  match float_of_string_opt s with
-  | Some p when p >= 0. && p <= 1. -> p
-  | Some _ | None -> bad "bad probability %S (expected a float in [0,1])" s
+let scheduled_kinds = List.map fst scheduled_table
 
-let int_of_field ~key s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s key
+let kinds =
+  scheduled_table
+  @ [
+      ("rpc-timeout", probabilistic [ "p" ] (fun _ p -> Rpc_timeout { p }));
+      ("wqe-drop", probabilistic [ "p" ] (fun _ p -> Wqe_drop { p }));
+      ( "wqe-delay",
+        probabilistic [ "p"; "ns" ] (fun c p ->
+            Wqe_delay { p; delay_ns = Clause.get c "ns" Clause.dur }) );
+      ("bit-flip", probabilistic [ "p" ] (fun _ p -> Bit_flip { p }));
+      ("torn-write", probabilistic [ "p" ] (fun _ p -> Torn_write { p }));
+      ("stale-read", probabilistic [ "p" ] (fun _ p -> Stale_read { p }));
+      ("dup-deliver", probabilistic [ "p" ] (fun _ p -> Dup_deliver { p }));
+    ]
 
-(* "kind[@time][:k=v,...]" -> (kind, time option, assoc). *)
-let split_clause s =
-  let head, params =
-    match String.index_opt s ':' with
-    | Some i ->
-        ( String.sub s 0 i,
-          String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, [])
-  in
-  let kind, at =
-    match String.index_opt head '@' with
-    | Some i ->
-        ( String.sub head 0 i,
-          Some (duration_of_string (String.sub head (i + 1) (String.length head - i - 1)))
-        )
-    | None -> (head, None)
-  in
-  let kv p =
-    match String.index_opt p '=' with
-    | Some i -> (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> bad "bad parameter %S (expected key=value)" p
-  in
-  (kind, at, List.map kv (List.filter (fun p -> p <> "") params))
-
-let field params key =
-  match List.assoc_opt key params with
-  | Some v -> v
-  | None -> bad "missing required parameter %s=" key
-
-let require_at kind = function
-  | Some t -> t
-  | None -> bad "%s needs a trigger time (e.g. %s@2ms)" kind kind
-
-let parse_clause s =
-  let kind, at, params = split_clause s in
-  let known ks =
-    List.iter
-      (fun (k, _) -> if not (List.mem k ks) then bad "unknown parameter %s for %s" k kind)
-      params
-  in
-  match kind with
-  | "node-crash" ->
-      known [ "id" ];
-      Node_crash
-        { at_ns = require_at kind at; id = int_of_field ~key:"id" (field params "id") }
-  | "link-flap" ->
-      known [ "dur" ];
-      Link_flap
-        { at_ns = require_at kind at; dur_ns = duration_of_string (field params "dur") }
-  | "partition" ->
-      (* Asymmetric partition: the named nodes stay alive but their links
-         drop control + data traffic for the window — distinct from the
-         fail-stop [node-crash]. *)
-      known [ "dur"; "nodes" ];
-      let ids =
-        String.split_on_char '|' (field params "nodes")
-        |> List.filter (fun x -> x <> "")
-        |> List.map (fun x ->
-               let id = int_of_field ~key:"nodes" x in
-               if id < 0 then bad "partition node ids must be >= 0 (got %d)" id;
-               id)
-      in
-      if ids = [] then bad "partition needs a non-empty nodes= list (e.g. nodes=0|1)";
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "partition dur must be positive";
-      Partition { at_ns = require_at kind at; dur_ns; ids }
-  | "rpc-timeout" ->
-      known [ "p" ];
-      Rpc_timeout { p = prob_of_string (field params "p") }
-  | "wqe-drop" ->
-      known [ "p" ];
-      Wqe_drop { p = prob_of_string (field params "p") }
-  | "wqe-delay" ->
-      known [ "p"; "ns" ];
-      Wqe_delay
-        {
-          p = prob_of_string (field params "p");
-          delay_ns = duration_of_string (field params "ns");
-        }
-  | "bit-flip" ->
-      known [ "p" ];
-      Bit_flip { p = prob_of_string (field params "p") }
-  | "torn-write" ->
-      known [ "p" ];
-      Torn_write { p = prob_of_string (field params "p") }
-  | "stale-read" ->
-      known [ "p" ];
-      Stale_read { p = prob_of_string (field params "p") }
-  | "dup-deliver" ->
-      known [ "p" ];
-      Dup_deliver { p = prob_of_string (field params "p") }
-  | other ->
-      bad
-        "unknown fault kind %S (node-crash | link-flap | partition | rpc-timeout | \
-         wqe-drop | wqe-delay | bit-flip | torn-write | stale-read | dup-deliver)"
-        other
+let to_clause c =
+  let v ?at kind params = { Clause.kind; at; params } in
+  let p_ kind p = v kind [ ("p", Printf.sprintf "%g" p) ] in
+  match c with
+  | Node_crash { at_ns; id } -> v ~at:at_ns "node-crash" [ ("id", string_of_int id) ]
+  | Link_flap { at_ns; dur_ns } ->
+      v ~at:at_ns "link-flap" [ ("dur", Clause.ns_to_string dur_ns) ]
+  | Partition { at_ns; dur_ns; ids } ->
+      v ~at:at_ns "partition"
+        [ ("dur", Clause.ns_to_string dur_ns); ("nodes", Clause.ints_to_string ids) ]
+  | Rpc_timeout { p } -> p_ "rpc-timeout" p
+  | Wqe_drop { p } -> p_ "wqe-drop" p
+  | Wqe_delay { p; delay_ns } ->
+      v "wqe-delay" [ ("p", Printf.sprintf "%g" p); ("ns", Clause.ns_to_string delay_ns) ]
+  | Bit_flip { p } -> p_ "bit-flip" p
+  | Torn_write { p } -> p_ "torn-write" p
+  | Stale_read { p } -> p_ "stale-read" p
+  | Dup_deliver { p } -> p_ "dup-deliver" p
 
 (* Probabilistic kinds may appear at most once per plan; a silent
    last-wins would make e.g. "wqe-drop:p=0.1;wqe-drop:p=0" a no-op
-   plan that looks loaded.  Scheduled kinds (node-crash, link-flap)
-   legitimately repeat. *)
-let prob_kind = function
-  | Node_crash _ | Link_flap _ | Partition _ -> None
-  | Rpc_timeout _ -> Some "rpc-timeout"
-  | Wqe_drop _ -> Some "wqe-drop"
-  | Wqe_delay _ -> Some "wqe-delay"
-  | Bit_flip _ -> Some "bit-flip"
-  | Torn_write _ -> Some "torn-write"
-  | Stale_read _ -> Some "stale-read"
-  | Dup_deliver _ -> Some "dup-deliver"
+   plan that looks loaded.  Scheduled kinds legitimately repeat. *)
+let rec once = function
+  | [] -> ()
+  | kind :: rest ->
+      if List.mem kind rest then
+        Clause.bad
+          "duplicate clause kind %S in one plan (each probabilistic kind may appear at \
+           most once)"
+          kind;
+      once rest
 
-let check_duplicates plan =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun clause ->
-      match prob_kind clause with
-      | None -> ()
-      | Some kind ->
-          if Hashtbl.mem seen kind then
-            bad "duplicate clause kind %S in one plan (each probabilistic kind \
-                 may appear at most once)" kind
-          else Hashtbl.add seen kind ())
-    plan
-
-let parse s =
-  let clauses =
-    String.split_on_char ';' s |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
-  in
-  match
-    let plan = List.map parse_clause clauses in
-    check_duplicates plan;
-    plan
-  with
-  | plan -> Ok plan
-  | exception Bad msg -> Error msg
+let parse =
+  Clause.parse_list (fun clauses ->
+      let plan = List.map (Clause.dispatch ~what:"fault kind" kinds) clauses in
+      once
+        (List.map (fun c -> c.Clause.kind) clauses
+        |> List.filter (fun k -> not (List.mem k scheduled_kinds)));
+      plan)
 
 let parse_exn s =
   match parse s with Ok p -> p | Error msg -> invalid_arg ("Fault_spec: " ^ msg)
 
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let ns_to_string ns =
-  if ns mod 1_000_000_000 = 0 && ns > 0 then Printf.sprintf "%ds" (ns / 1_000_000_000)
-  else if ns mod 1_000_000 = 0 && ns > 0 then Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns mod 1_000 = 0 && ns > 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
-
-let clause_to_string = function
-  | Node_crash { at_ns; id } -> Printf.sprintf "node-crash@%s:id=%d" (ns_to_string at_ns) id
-  | Link_flap { at_ns; dur_ns } ->
-      Printf.sprintf "link-flap@%s:dur=%s" (ns_to_string at_ns) (ns_to_string dur_ns)
-  | Partition { at_ns; dur_ns; ids } ->
-      Printf.sprintf "partition@%s:dur=%s,nodes=%s" (ns_to_string at_ns)
-        (ns_to_string dur_ns)
-        (String.concat "|" (List.map string_of_int ids))
-  | Rpc_timeout { p } -> Printf.sprintf "rpc-timeout:p=%g" p
-  | Wqe_drop { p } -> Printf.sprintf "wqe-drop:p=%g" p
-  | Wqe_delay { p; delay_ns } ->
-      Printf.sprintf "wqe-delay:p=%g,ns=%s" p (ns_to_string delay_ns)
-  | Bit_flip { p } -> Printf.sprintf "bit-flip:p=%g" p
-  | Torn_write { p } -> Printf.sprintf "torn-write:p=%g" p
-  | Stale_read { p } -> Printf.sprintf "stale-read:p=%g" p
-  | Dup_deliver { p } -> Printf.sprintf "dup-deliver:p=%g" p
-
-let to_string t = String.concat ";" (List.map clause_to_string t)
+let to_string t = String.concat ";" (List.map (fun c -> Clause.to_string (to_clause c)) t)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -1,11 +1,7 @@
-(** Fault-plan grammar (§4.5 failure modes, made injectable).
+(** Fault plans (§4.5 failure modes, made injectable).
 
-    A plan is a list of clauses separated by [';'].  Each clause is
-
-    {v kind[@time][:key=value[,key=value...]] v}
-
-    where durations accept [ns]/[us]/[ms]/[s] suffixes (bare integers are
-    nanoseconds) and probabilities are floats in [0, 1].  Kinds:
+    A plan is a list of clauses in the {!Kona_util.Clause} grammar;
+    probabilities are floats in [0, 1].  Kinds:
 
     - [node-crash@2ms:id=1] — memory node [id] fail-stops at virtual time
       2 ms (failure mode 3; recovered by replica failover when mirrors
@@ -40,6 +36,8 @@
     All probabilistic draws come from a seeded splitmix stream, so a plan
     plus a seed reproduces the same faults bit-for-bit.
 
+    Scheduled kinds need a trigger time and probabilistic kinds take
+    none: [bit-flip@2ms:p=0.1] is an error, not a plan armed at t=0.
     A plan may not repeat a probabilistic kind (e.g. two [wqe-drop]
     clauses): [parse] rejects it with a named error rather than letting
     the last clause silently win.  Scheduled kinds ([node-crash],
@@ -59,9 +57,20 @@ type clause =
 
 type t = clause list
 
+val kinds : (string * (Kona_util.Clause.t -> clause)) list
+(** The kind table: each kind's converter from a lexed clause.
+    Scheduled kinds require a trigger time; probabilistic kinds reject
+    one. *)
+
+val scheduled_kinds : string list
+(** The kinds that take a trigger time: [node-crash], [link-flap] and
+    [partition]. *)
+
+val to_clause : clause -> Kona_util.Clause.t
+(** The inverse of the kind table. *)
+
 val parse : string -> (t, string) result
-(** Parse a [';']-separated plan; the empty string is the empty plan.
-    [Error msg] pinpoints the offending clause. *)
+(** Parse a [';']-separated plan; the empty string is the empty plan. *)
 
 val parse_exn : string -> t
 (** Raises [Invalid_argument] with the parse error. *)

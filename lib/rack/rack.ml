@@ -1257,7 +1257,6 @@ let shared_divergence e =
 
 let shared_owner e ~line = Directory.owner e.mw_dir ~line
 let shared_handoffs e = Directory.handoffs e.mw_dir
-let shared_owner_changes e = Directory.owner_changes e.mw_dir
 let shared_invalidations e = Directory.invalidations e.mw_dir
 let tenant_count e = Array.length e.tenants
 let tenant_cfgs e = e.tenants
@@ -1265,9 +1264,6 @@ let runtime e ~tenant = e.fab.runtimes.(tenant)
 let controller e = e.fab.controller
 let node_count e = e.fab.node_count
 let fast_node_count e = e.fab.cfg.fast_nodes
-let scheduler e ~node = e.fab.wfq.(node)
-let scheduler_weights e = e.weights
-let drained_pages e = e.drained_pages
 let drain_failures e = e.drain_failures
 
 let crash_node e ~id =

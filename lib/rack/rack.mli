@@ -294,7 +294,6 @@ val shared_owner : engine -> line:int -> int option
 (** Current exclusive owner of a shared-segment line, if any. *)
 
 val shared_handoffs : engine -> int
-val shared_owner_changes : engine -> int
 val shared_invalidations : engine -> int
 (** Live MSI-home counters (also exported as [coherence.handoffs] /
     [coherence.owner_changes] / [coherence.invalidations] and the
@@ -318,9 +317,4 @@ val fast_node_count : engine -> int
 val tenant_used : engine -> tenant:int -> int
 (** Bytes currently charged to the tenant at the rack controller. *)
 
-val scheduler : engine -> node:int -> Wfq.t
-val scheduler_weights : engine -> int array
-(** Tenant WFQ weights plus the migrator's slot at index [tenant_count]. *)
-
-val drained_pages : engine -> int
 val drain_failures : engine -> int

@@ -1,3 +1,5 @@
+module Clause = Kona_util.Clause
+
 type op =
   | Add_node of { capacity : int option }
   | Drain of { id : int }
@@ -6,123 +8,38 @@ type op =
 type clause = { at_ns : int; op : op }
 type t = clause list
 
-exception Bad of string
+let kinds =
+  [
+    ( "add",
+      fun c ->
+        Clause.known c [ "cap" ];
+        Add_node { capacity = Clause.opt c "cap" Clause.pos } );
+    ("drain", Clause.one "id" Clause.nonneg (fun id -> Drain { id }));
+    ("rebalance", Clause.bare Rebalance);
+  ]
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let op_to_clause op =
+  let kind, params =
+    match op with
+    | Add_node { capacity = None } -> ("add", [])
+    | Add_node { capacity = Some cap } -> ("add", [ ("cap", string_of_int cap) ])
+    | Drain { id } -> ("drain", [ ("id", string_of_int id) ])
+    | Rebalance -> ("rebalance", [])
+  in
+  { Clause.kind; at = None; params }
 
-(* Same duration grammar as Fault_spec: "200us" -> 200_000, bare
-   integers are nanoseconds. *)
-let duration_of_string s =
-  let num, mult =
-    let n = String.length s in
-    let split k m = (String.sub s 0 (n - k), m) in
-    if n >= 2 && String.sub s (n - 2) 2 = "ns" then split 2 1
-    else if n >= 2 && String.sub s (n - 2) 2 = "us" then split 2 1_000
-    else if n >= 2 && String.sub s (n - 2) 2 = "ms" then split 2 1_000_000
-    else if n >= 1 && s.[n - 1] = 's' then split 1 1_000_000_000
-    else (s, 1)
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> v * mult
-  | Some _ | None -> bad "bad duration %S (expected e.g. 500ns, 200us, 2ms, 1s)" s
-
-let int_of_field ~key s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s key
-
-(* "kind@time[:k=v,...]" -> (kind, time, assoc). *)
-let split_clause s =
-  let head, params =
-    match String.index_opt s ':' with
-    | Some i ->
-        ( String.sub s 0 i,
-          String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, [])
-  in
-  let kind, at =
-    match String.index_opt head '@' with
-    | Some i ->
-        ( String.sub head 0 i,
-          Some
-            (duration_of_string
-               (String.sub head (i + 1) (String.length head - i - 1))) )
-    | None -> (head, None)
-  in
-  let kv p =
-    match String.index_opt p '=' with
-    | Some i -> (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> bad "bad parameter %S (expected key=value)" p
-  in
-  (kind, at, List.map kv (List.filter (fun p -> p <> "") params))
-
-let parse_clause s =
-  let kind, at, params = split_clause s in
-  let at_ns =
-    match at with
-    | Some t -> t
-    | None -> bad "%s needs a trigger time (e.g. %s@2ms)" kind kind
-  in
-  let known ks =
-    List.iter
-      (fun (k, _) ->
-        if not (List.mem k ks) then bad "unknown parameter %s for %s" k kind)
-      params
-  in
-  let op =
-    match kind with
-    | "add" ->
-        known [ "cap" ];
-        let capacity =
-          Option.map (int_of_field ~key:"cap") (List.assoc_opt "cap" params)
-        in
-        (match capacity with
-        | Some c when c <= 0 -> bad "add capacity must be positive, got %d" c
-        | _ -> ());
-        Add_node { capacity }
-    | "drain" ->
-        known [ "id" ];
-        let id =
-          match List.assoc_opt "id" params with
-          | Some v -> int_of_field ~key:"id" v
-          | None -> bad "drain needs id= (e.g. drain@5ms:id=1)"
-        in
-        if id < 0 then bad "drain id must be >= 0, got %d" id;
-        Drain { id }
-    | "rebalance" ->
-        known [];
-        Rebalance
-    | other -> bad "unknown rack op %S (add | drain | rebalance)" other
-  in
-  { at_ns; op }
-
-let parse s =
-  let clauses =
-    String.split_on_char ';' s |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
-  in
-  match List.map parse_clause clauses with
-  | plan -> Ok plan
-  | exception Bad msg -> Error msg
+let parse =
+  Clause.parse_list
+    (List.map (fun c ->
+         { at_ns = Clause.require_at c; op = Clause.dispatch ~what:"rack op" kinds c }))
 
 let parse_exn s =
   match parse s with Ok p -> p | Error msg -> invalid_arg ("Rack_ops: " ^ msg)
 
-let ns_to_string ns =
-  if ns mod 1_000_000_000 = 0 && ns > 0 then
-    Printf.sprintf "%ds" (ns / 1_000_000_000)
-  else if ns mod 1_000_000 = 0 && ns > 0 then
-    Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns mod 1_000 = 0 && ns > 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
+let to_string t =
+  String.concat ";"
+    (List.map
+       (fun { at_ns; op } -> Clause.to_string { (op_to_clause op) with at = Some at_ns })
+       t)
 
-let clause_to_string { at_ns; op } =
-  match op with
-  | Add_node { capacity = None } -> Printf.sprintf "add@%s" (ns_to_string at_ns)
-  | Add_node { capacity = Some cap } ->
-      Printf.sprintf "add@%s:cap=%d" (ns_to_string at_ns) cap
-  | Drain { id } -> Printf.sprintf "drain@%s:id=%d" (ns_to_string at_ns) id
-  | Rebalance -> Printf.sprintf "rebalance@%s" (ns_to_string at_ns)
-
-let to_string t = String.concat ";" (List.map clause_to_string t)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -1,5 +1,5 @@
-(** Scheduled rack-controller operations, parsed from a compact spec
-    string (the placement-era sibling of {!Kona_faults.Fault_spec}):
+(** Scheduled rack-controller operations (the placement-era sibling of
+    {!Kona_faults.Fault_spec}), in the {!Kona_util.Clause} grammar:
 
     {v add@3ms:cap=67108864;drain@5ms:id=1;rebalance@7ms v}
 
@@ -10,8 +10,8 @@
       drains from its promoted mirror);
     - [rebalance@T] — one forced capacity-balancing migration pass.
 
-    Times accept the fault-spec duration grammar (bare ns, [us], [ms],
-    [s]). *)
+    Every clause needs its trigger time.  Scenario specs embed the same
+    ops without one. *)
 
 type op =
   | Add_node of { capacity : int option }
@@ -20,6 +20,13 @@ type op =
 
 type clause = { at_ns : int; op : op }
 type t = clause list
+
+val kinds : (string * (Kona_util.Clause.t -> op)) list
+(** The kind table: each op's converter from a lexed clause, whose
+    trigger time it ignores. *)
+
+val op_to_clause : op -> Kona_util.Clause.t
+(** The inverse of the kind table, without a trigger time. *)
 
 val parse : string -> (t, string) result
 val parse_exn : string -> t

@@ -1,4 +1,5 @@
 module Rack = Kona_rack.Rack
+module Rack_ops = Kona_rack.Rack_ops
 module Rack_controller = Kona.Rack_controller
 module Runtime = Kona.Runtime
 module Workloads = Kona_workloads.Workloads
@@ -100,9 +101,7 @@ let apply_op e op =
   | Spec.Scrub ->
       Rack.flush_logs e;
       Rack.force_scrub e
-  | Spec.Add_node { capacity } -> Rack.apply_op e (Kona_rack.Rack_ops.Add_node { capacity })
-  | Spec.Drain { id } -> Rack.apply_op e (Kona_rack.Rack_ops.Drain { id })
-  | Spec.Rebalance -> Rack.apply_op e Kona_rack.Rack_ops.Rebalance
+  | Spec.Rack op -> Rack.apply_op e op
   | Spec.Migrate_epoch -> Rack.force_migration e
 
 let fingerprint (r : Rack.result) =
@@ -115,7 +114,9 @@ let fingerprint (r : Rack.result) =
 let execute ?plant ?(check_end = true) (spec : Spec.t) =
   let extra_node_slots =
     List.length
-      (List.filter (function Spec.Add_node _ -> true | _ -> false) spec.Spec.ops)
+      (List.filter
+         (function Spec.Rack (Rack_ops.Add_node _) -> true | _ -> false)
+         spec.Spec.ops)
   in
   let config = config_of_setup spec.Spec.setup ~extra_node_slots in
   let tenants = tenants_of_setup spec.Spec.setup in

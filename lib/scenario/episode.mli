@@ -45,8 +45,3 @@ val execute :
 
 val passed : outcome -> bool
 (** No invariant violations (aborts still count as passed). *)
-
-val config_of_setup :
-  Spec.setup -> extra_node_slots:int -> Kona_rack.Rack.config
-
-val tenants_of_setup : Spec.setup -> Kona_rack.Rack.tenant_cfg list

@@ -1,6 +1,7 @@
 module Rng = Kona_util.Rng
 module Units = Kona_util.Units
 module Fault_spec = Kona_faults.Fault_spec
+module Rack_ops = Kona_rack.Rack_ops
 
 (* Probabilities live on a 1/10000 grid so the canonical %g rendering of
    a generated clause re-parses to the exact same float — generated
@@ -122,14 +123,15 @@ let ops_op rng ~setup ~crashes ~adds ~published =
         }
   | 7 when !adds < 2 ->
       incr adds;
-      Spec.Add_node
-        {
-          capacity =
-            (if Rng.bool rng then Some (Units.mib (64 + 64 * Rng.int rng 2))
-             else None);
-        }
-  | 8 -> Spec.Drain { id = Rng.int rng setup.Spec.nodes }
-  | 9 -> Spec.Rebalance
+      Spec.Rack
+        (Rack_ops.Add_node
+           {
+             capacity =
+               (if Rng.bool rng then Some (Units.mib (64 + 64 * Rng.int rng 2))
+                else None);
+           })
+  | 8 -> Spec.Rack (Rack_ops.Drain { id = Rng.int rng setup.Spec.nodes })
+  | 9 -> Spec.Rack Rack_ops.Rebalance
   | 10 -> Spec.Migrate_epoch
   | _ ->
       if published then Spec.Shared { rounds = 8 + Rng.int rng 24 }

@@ -24,9 +24,7 @@ let shrink_op (op : Spec.op) =
       List.map (fun pages -> Spec.Publish { pages }) (halve pages 1)
   | Spec.Quota { tenant; bytes } ->
       List.map (fun bytes -> Spec.Quota { tenant; bytes }) (halve bytes 0)
-  | Spec.Crash _ | Spec.Corrupt _ | Spec.Scrub | Spec.Add_node _
-  | Spec.Drain _ | Spec.Rebalance | Spec.Migrate_epoch ->
-      []
+  | Spec.Crash _ | Spec.Corrupt _ | Spec.Scrub | Spec.Rack _ | Spec.Migrate_epoch -> []
 
 let run ?(max_attempts = 400) ~oracle spec =
   match oracle spec with

@@ -1,5 +1,7 @@
 module Units = Kona_util.Units
+module Clause = Kona_util.Clause
 module Fault_spec = Kona_faults.Fault_spec
+module Rack_ops = Kona_rack.Rack_ops
 
 type op =
   | Run of { n : int }
@@ -13,9 +15,7 @@ type op =
   | Mwrite of { rounds : int }
   | Shm_rpc of { calls : int }
   | Scrub
-  | Add_node of { capacity : int option }
-  | Drain of { id : int }
-  | Rebalance
+  | Rack of Rack_ops.op
   | Migrate_epoch
 
 type setup = {
@@ -68,236 +68,124 @@ let default_setup =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parsing.  Same conventions as {!Kona_faults.Fault_spec}: clauses are
-   [';']-separated, each clause is [kind[:key=value,...]], durations take
-   ns/us/ms/s suffixes.  Lists use ['|'] so [','] stays the parameter
-   separator. *)
+(* The kind tables.  No clause takes a trigger time: an op acts at its
+   position in the sequence. *)
 
-exception Bad of string
+let gbps _ v =
+  match float_of_string_opt v with
+  | Some g when g > 0. -> g
+  | Some _ | None -> Clause.bad "bad gbps %S (expected a positive float)" v
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let flag _ = function
+  | "0" -> false
+  | "1" -> true
+  | v -> Clause.bad "bad verify %S (expected 0 or 1)" v
 
-let duration_of_string s =
-  let num, mult =
-    let n = String.length s in
-    let split k m = (String.sub s 0 (n - k), m) in
-    if n >= 2 && String.sub s (n - 2) 2 = "ns" then split 2 1
-    else if n >= 2 && String.sub s (n - 2) 2 = "us" then split 2 1_000
-    else if n >= 2 && String.sub s (n - 2) 2 = "ms" then split 2 1_000_000
-    else if n >= 1 && s.[n - 1] = 's' then split 1 1_000_000_000
-    else (s, 1)
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> v * mult
-  | Some _ | None -> bad "bad duration %S (expected e.g. 500ns, 200us, 2ms, 1s)" s
+(* The setup clause's fields, each named once: its key, how to read it
+   into a setup and how to render it back. *)
+let field key (conv, show) get set =
+  (key, ((fun s v -> set s (conv key v)), fun s -> show (get s)))
 
-let ns_to_string ns =
-  if ns mod 1_000_000_000 = 0 && ns > 0 then Printf.sprintf "%ds" (ns / 1_000_000_000)
-  else if ns mod 1_000_000 = 0 && ns > 0 then Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns mod 1_000 = 0 && ns > 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
+let setup_fields =
+  let pos = (Clause.pos, string_of_int) and nonneg = (Clause.nonneg, string_of_int) in
+  let dur = (Clause.dur, Clause.ns_to_string) in
+  let ints conv = (Clause.list conv, Clause.ints_to_string) in
+  let raw _ v = v in
+  [
+    field "tenants" pos (fun s -> s.tenants) (fun s v -> { s with tenants = v });
+    field "nodes" pos (fun s -> s.nodes) (fun s v -> { s with nodes = v });
+    field "cap" pos (fun s -> s.node_cap) (fun s v -> { s with node_cap = v });
+    field "gbps" (gbps, Printf.sprintf "%g") (fun s -> s.gbps) (fun s v ->
+        { s with gbps = v });
+    field "replicas" nonneg (fun s -> s.replicas) (fun s v -> { s with replicas = v });
+    field "fmem" pos (fun s -> s.fmem) (fun s v -> { s with fmem = v });
+    field "quantum" pos (fun s -> s.quantum) (fun s v -> { s with quantum = v });
+    field "seed" nonneg (fun s -> s.seed) (fun s v -> { s with seed = v });
+    field "fseed" nonneg (fun s -> s.fault_seed) (fun s v -> { s with fault_seed = v });
+    field "scrub" dur (fun s -> s.scrub_ns) (fun s v -> { s with scrub_ns = v });
+    field "verify"
+      (flag, fun b -> if b then "1" else "0")
+      (fun s -> s.verify)
+      (fun s v -> { s with verify = v });
+    field "workloads"
+      (Clause.list raw, String.concat "|")
+      (fun s -> s.workloads)
+      (fun s v -> { s with workloads = v });
+    field "shares" (ints Clause.pos) (fun s -> s.shares) (fun s v ->
+        { s with shares = v });
+    field "quotas" (ints Clause.nonneg) (fun s -> s.quotas) (fun s v ->
+        { s with quotas = v });
+    field "policy" (raw, Fun.id) (fun s -> s.policy) (fun s v -> { s with policy = v });
+    field "fast" nonneg (fun s -> s.fast_nodes) (fun s v -> { s with fast_nodes = v });
+    field "slowns" dur (fun s -> s.slow_extra_ns) (fun s v ->
+        { s with slow_extra_ns = v });
+    field "hb" dur (fun s -> s.heartbeat_ns) (fun s v -> { s with heartbeat_ns = v });
+    field "lease" dur (fun s -> s.lease_ns) (fun s v -> { s with lease_ns = v });
+    field "writers" pos (fun s -> s.writers) (fun s v -> { s with writers = v });
+  ]
 
-let int_of_field ~key s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s key
-
-let pos_of_field ~key s =
-  let v = int_of_field ~key s in
-  if v < 1 then bad "%s must be >= 1 (got %d)" key v;
-  v
-
-let nonneg_of_field ~key s =
-  let v = int_of_field ~key s in
-  if v < 0 then bad "%s must be >= 0 (got %d)" key v;
-  v
-
-(* "kind[:k=v,...]" -> (kind, assoc, raw clause).  The raw clause is kept
-   so corrupt ops can be re-parsed by Fault_spec verbatim. *)
-let split_clause s =
-  let head, params =
-    match String.index_opt s ':' with
-    | Some i ->
-        ( String.sub s 0 i,
-          String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, [])
-  in
-  let kv p =
-    match String.index_opt p '=' with
-    | Some i -> (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> bad "bad parameter %S (expected key=value)" p
-  in
-  (head, List.map kv (List.filter (fun p -> p <> "") params))
-
-let field params key =
-  match List.assoc_opt key params with
-  | Some v -> v
-  | None -> bad "missing required parameter %s=" key
-
-let known kind params ks =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k ks) then bad "unknown parameter %s for %s" k kind)
-    params
-
-let int_list ~key s =
-  match
-    String.split_on_char '|' s
-    |> List.filter (fun x -> x <> "")
-    |> List.map (fun x -> nonneg_of_field ~key x)
-  with
-  | [] -> bad "%s: empty list" key
-  | l -> l
-
-let string_list ~key s =
-  match String.split_on_char '|' s |> List.filter (fun x -> x <> "") with
-  | [] -> bad "%s: empty list" key
-  | l -> l
-
-let parse_setup clause =
-  let kind, params = split_clause clause in
-  if kind <> "setup" then bad "spec must start with a setup: clause, got %S" kind;
-  known "setup" params
-    [ "tenants"; "nodes"; "cap"; "gbps"; "replicas"; "fmem"; "quantum"; "seed";
-      "fseed"; "scrub"; "verify"; "workloads"; "shares"; "quotas"; "policy";
-      "fast"; "slowns"; "hb"; "lease"; "writers" ];
-  let get key f default =
-    match List.assoc_opt key params with Some v -> f v | None -> default
-  in
+let parse_setup (c : Clause.t) =
+  if c.kind <> "setup" then
+    Clause.bad "spec must start with a setup: clause, got %S" c.kind;
+  Clause.known c (List.map fst setup_fields);
   let s =
-    {
-      tenants = get "tenants" (pos_of_field ~key:"tenants") default_setup.tenants;
-      nodes = get "nodes" (pos_of_field ~key:"nodes") default_setup.nodes;
-      node_cap = get "cap" (pos_of_field ~key:"cap") default_setup.node_cap;
-      gbps =
-        get "gbps"
-          (fun v ->
-            match float_of_string_opt v with
-            | Some g when g > 0. -> g
-            | Some _ | None -> bad "bad gbps %S (expected a positive float)" v)
-          default_setup.gbps;
-      replicas = get "replicas" (nonneg_of_field ~key:"replicas") default_setup.replicas;
-      fmem = get "fmem" (pos_of_field ~key:"fmem") default_setup.fmem;
-      quantum = get "quantum" (pos_of_field ~key:"quantum") default_setup.quantum;
-      seed = get "seed" (nonneg_of_field ~key:"seed") default_setup.seed;
-      fault_seed = get "fseed" (nonneg_of_field ~key:"fseed") default_setup.fault_seed;
-      scrub_ns = get "scrub" duration_of_string default_setup.scrub_ns;
-      verify =
-        get "verify"
-          (fun v ->
-            match v with
-            | "0" -> false
-            | "1" -> true
-            | _ -> bad "bad verify %S (expected 0 or 1)" v)
-          default_setup.verify;
-      workloads = get "workloads" (string_list ~key:"workloads") default_setup.workloads;
-      shares = get "shares" (int_list ~key:"shares") default_setup.shares;
-      quotas = get "quotas" (int_list ~key:"quotas") default_setup.quotas;
-      policy = get "policy" (fun v -> v) default_setup.policy;
-      fast_nodes = get "fast" (nonneg_of_field ~key:"fast") default_setup.fast_nodes;
-      slow_extra_ns = get "slowns" duration_of_string default_setup.slow_extra_ns;
-      heartbeat_ns = get "hb" duration_of_string default_setup.heartbeat_ns;
-      lease_ns = get "lease" duration_of_string default_setup.lease_ns;
-      writers = get "writers" (pos_of_field ~key:"writers") default_setup.writers;
-    }
+    List.fold_left
+      (fun s (k, v) -> fst (List.assoc k setup_fields) s v)
+      default_setup c.params
   in
-  List.iter
-    (fun share -> if share < 1 then bad "shares entries must be >= 1 (got %d)" share)
-    s.shares;
   if s.heartbeat_ns > 0 && s.lease_ns < s.heartbeat_ns then
-    bad "lease (%d ns) must be >= hb (%d ns)" s.lease_ns s.heartbeat_ns;
+    Clause.bad "lease (%d ns) must be >= hb (%d ns)" s.lease_ns s.heartbeat_ns;
   s
 
-let parse_op clause =
-  let kind, params = split_clause clause in
-  match kind with
-  | "run" ->
-      known kind params [ "n" ];
-      Run { n = pos_of_field ~key:"n" (field params "n") }
-  | "crash" ->
-      known kind params [ "id" ];
-      Crash { id = nonneg_of_field ~key:"id" (field params "id") }
-  | "flap" ->
-      known kind params [ "dur" ];
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "flap dur must be positive";
-      Flap { dur_ns }
-  | "partition" ->
-      known kind params [ "dur"; "nodes" ];
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "partition dur must be positive";
-      Partition { dur_ns; ids = int_list ~key:"nodes" (field params "nodes") }
-  | "quota" ->
-      known kind params [ "t"; "bytes" ];
-      Quota
-        {
-          tenant = nonneg_of_field ~key:"t" (field params "t");
-          bytes = nonneg_of_field ~key:"bytes" (field params "bytes");
-        }
-  | "publish" ->
-      known kind params [ "pages" ];
-      Publish { pages = pos_of_field ~key:"pages" (field params "pages") }
-  | "shared" ->
-      known kind params [ "rounds" ];
-      Shared { rounds = pos_of_field ~key:"rounds" (field params "rounds") }
-  | "mwrite" ->
-      known kind params [ "rounds" ];
-      Mwrite { rounds = pos_of_field ~key:"rounds" (field params "rounds") }
-  | "shmrpc" ->
-      known kind params [ "calls" ];
-      Shm_rpc { calls = pos_of_field ~key:"calls" (field params "calls") }
-  | "scrub" ->
-      known kind params [];
-      Scrub
-  | "add" ->
-      known kind params [ "cap" ];
-      Add_node
-        {
-          capacity =
-            (match List.assoc_opt "cap" params with
-            | Some v -> Some (pos_of_field ~key:"cap" v)
-            | None -> None);
-        }
-  | "drain" ->
-      known kind params [ "id" ];
-      Drain { id = nonneg_of_field ~key:"id" (field params "id") }
-  | "rebalance" ->
-      known kind params [];
-      Rebalance
-  | "migrate-epoch" ->
-      known kind params [];
-      Migrate_epoch
-  | _ -> (
-      (* Not a scenario op: a fault clause in Fault_spec grammar, armed
-         mid-sequence.  Scheduled kinds have dedicated scenario ops
-         (crash:, flap:) that act at the op's position in the sequence
-         rather than at an absolute virtual time. *)
-      match Fault_spec.parse clause with
-      | Ok
-          [
-            ( Fault_spec.Node_crash _ | Fault_spec.Link_flap _
-            | Fault_spec.Partition _ );
-          ] ->
-          bad
-            "scheduled fault %S not allowed here (use \
-             crash:id=/flap:dur=/partition:dur=,nodes=)"
-            clause
-      | Ok [ c ] -> Corrupt c
-      | Ok _ -> bad "expected exactly one clause in %S" clause
-      | Error msg -> bad "unknown op %S (%s)" clause msg)
+let scenario_kinds =
+  [
+    ("run", Clause.one "n" Clause.pos (fun n -> Run { n }));
+    ("crash", Clause.one "id" Clause.nonneg (fun id -> Crash { id }));
+    ("flap", Clause.one "dur" Clause.pos_dur (fun dur_ns -> Flap { dur_ns }));
+    ( "partition",
+      fun c ->
+        Clause.known c [ "dur"; "nodes" ];
+        Partition
+          {
+            dur_ns = Clause.get c "dur" Clause.pos_dur;
+            ids = Clause.get c "nodes" (Clause.list Clause.nonneg);
+          } );
+    ( "quota",
+      fun c ->
+        Clause.known c [ "t"; "bytes" ];
+        Quota
+          {
+            tenant = Clause.get c "t" Clause.nonneg;
+            bytes = Clause.get c "bytes" Clause.nonneg;
+          } );
+    ("publish", Clause.one "pages" Clause.pos (fun pages -> Publish { pages }));
+    ("shared", Clause.one "rounds" Clause.pos (fun rounds -> Shared { rounds }));
+    ("mwrite", Clause.one "rounds" Clause.pos (fun rounds -> Mwrite { rounds }));
+    ("shmrpc", Clause.one "calls" Clause.pos (fun calls -> Shm_rpc { calls }));
+    ("scrub", Clause.bare Scrub);
+    ("migrate-epoch", Clause.bare Migrate_epoch);
+  ]
 
-let parse s =
-  match
-    let clauses =
-      String.split_on_char ';' s |> List.map String.trim
-      |> List.filter (fun c -> c <> "")
-    in
-    match clauses with
-    | [] -> bad "empty spec (expected setup:...[;op...])"
-    | setup :: ops -> { setup = parse_setup setup; ops = List.map parse_op ops }
-  with
-  | spec -> Ok spec
-  | exception Bad msg -> Error msg
+(* Scheduled fault kinds are not ops: crash:, flap: and partition: act at
+   their position in the sequence rather than at an absolute virtual
+   time.  The probabilistic ones are armed mid-sequence as they are. *)
+let op_kinds =
+  scenario_kinds
+  @ List.map (fun (k, f) -> (k, fun c -> Rack (f c))) Rack_ops.kinds
+  @ List.filter_map
+      (fun (k, f) ->
+        if List.mem k Fault_spec.scheduled_kinds then None
+        else Some (k, fun c -> Corrupt (f c)))
+      Fault_spec.kinds
+
+let parse =
+  Clause.parse_list (fun clauses ->
+      List.iter Clause.no_at clauses;
+      match clauses with
+      | [] -> Clause.bad "empty spec (expected setup:...[;op...])"
+      | setup :: ops ->
+          let setup = parse_setup setup in
+          { setup; ops = List.map (Clause.dispatch ~what:"op" op_kinds) ops })
 
 let parse_exn s =
   match parse s with Ok t -> t | Error msg -> invalid_arg ("Scenario spec: " ^ msg)
@@ -306,42 +194,35 @@ let parse_exn s =
 (* Rendering: canonical and total — every setup field is always emitted,
    so [parse (to_string t) = Ok t] holds structurally. *)
 
-let setup_to_string s =
-  Printf.sprintf
-    "setup:tenants=%d,nodes=%d,cap=%d,gbps=%g,replicas=%d,fmem=%d,quantum=%d,seed=%d,fseed=%d,scrub=%s,verify=%d,workloads=%s,shares=%s,quotas=%s,policy=%s,fast=%d,slowns=%s,hb=%s,lease=%s,writers=%d"
-    s.tenants s.nodes s.node_cap s.gbps s.replicas s.fmem s.quantum s.seed
-    s.fault_seed (ns_to_string s.scrub_ns)
-    (if s.verify then 1 else 0)
-    (String.concat "|" s.workloads)
-    (String.concat "|" (List.map string_of_int s.shares))
-    (String.concat "|" (List.map string_of_int s.quotas))
-    s.policy s.fast_nodes
-    (ns_to_string s.slow_extra_ns)
-    (ns_to_string s.heartbeat_ns)
-    (ns_to_string s.lease_ns)
-    s.writers
+let setup_to_clause s =
+  {
+    Clause.kind = "setup";
+    at = None;
+    params = List.map (fun (k, (_, show)) -> (k, show s)) setup_fields;
+  }
 
-let op_to_string = function
-  | Run { n } -> Printf.sprintf "run:n=%d" n
-  | Crash { id } -> Printf.sprintf "crash:id=%d" id
-  | Flap { dur_ns } -> Printf.sprintf "flap:dur=%s" (ns_to_string dur_ns)
+let op_to_clause op =
+  let v kind params = { Clause.kind; at = None; params } in
+  let i = string_of_int in
+  match op with
+  | Run { n } -> v "run" [ ("n", i n) ]
+  | Crash { id } -> v "crash" [ ("id", i id) ]
+  | Flap { dur_ns } -> v "flap" [ ("dur", Clause.ns_to_string dur_ns) ]
   | Partition { dur_ns; ids } ->
-      Printf.sprintf "partition:dur=%s,nodes=%s" (ns_to_string dur_ns)
-        (String.concat "|" (List.map string_of_int ids))
-  | Corrupt c -> Fault_spec.to_string [ c ]
-  | Quota { tenant; bytes } -> Printf.sprintf "quota:t=%d,bytes=%d" tenant bytes
-  | Publish { pages } -> Printf.sprintf "publish:pages=%d" pages
-  | Shared { rounds } -> Printf.sprintf "shared:rounds=%d" rounds
-  | Mwrite { rounds } -> Printf.sprintf "mwrite:rounds=%d" rounds
-  | Shm_rpc { calls } -> Printf.sprintf "shmrpc:calls=%d" calls
-  | Scrub -> "scrub"
-  | Add_node { capacity = None } -> "add"
-  | Add_node { capacity = Some c } -> Printf.sprintf "add:cap=%d" c
-  | Drain { id } -> Printf.sprintf "drain:id=%d" id
-  | Rebalance -> "rebalance"
-  | Migrate_epoch -> "migrate-epoch"
+      v "partition"
+        [ ("dur", Clause.ns_to_string dur_ns); ("nodes", Clause.ints_to_string ids) ]
+  | Corrupt c -> Fault_spec.to_clause c
+  | Quota { tenant; bytes } -> v "quota" [ ("t", i tenant); ("bytes", i bytes) ]
+  | Publish { pages } -> v "publish" [ ("pages", i pages) ]
+  | Shared { rounds } -> v "shared" [ ("rounds", i rounds) ]
+  | Mwrite { rounds } -> v "mwrite" [ ("rounds", i rounds) ]
+  | Shm_rpc { calls } -> v "shmrpc" [ ("calls", i calls) ]
+  | Scrub -> v "scrub" []
+  | Rack op -> Rack_ops.op_to_clause op
+  | Migrate_epoch -> v "migrate-epoch" []
 
 let to_string t =
-  String.concat ";" (setup_to_string t.setup :: List.map op_to_string t.ops)
+  String.concat ";"
+    (List.map Clause.to_string (setup_to_clause t.setup :: List.map op_to_clause t.ops))
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

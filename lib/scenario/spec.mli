@@ -1,8 +1,7 @@
-(** Scenario grammar: one line describes one whole episode.
-
-    A spec is a [';']-separated clause list.  The first clause is the
-    setup (rack shape, workloads, seeds); every following clause is one
-    op, applied in sequence order between replay slices:
+(** Scenario specs: one line describes one whole episode, in the
+    {!Kona_util.Clause} grammar without trigger times.  The first clause
+    is the setup (rack shape, workloads, seeds); every following clause
+    is one op, applied in sequence order between replay slices:
 
     {v
     setup:tenants=2,nodes=3,...;run:n=512;bit-flip:p=0.1;drain:id=1;run:n=512
@@ -36,13 +35,11 @@
       (client) and tenant 0 (server) over coherent ring lines; no-op
       with fewer than two tenants;
     - [scrub] — force one full scrub sweep on every runtime;
-    - [add[:cap=B]] / [drain:id=N] / [rebalance] — rack reconfiguration
-      ops applied immediately;
+    - any {!Kona_rack.Rack_ops} op ([add[:cap=B]], [drain:id=N],
+      [rebalance]), applied immediately;
     - [migrate-epoch] — force one placement-migrator epoch.
 
-    Durations accept ns/us/ms/s suffixes; lists (workloads, shares,
-    quotas) use ['|'] so [','] stays the parameter separator.  Rendering
-    is canonical and total: [parse (to_string t) = Ok t]. *)
+    Rendering is canonical and total: [parse (to_string t) = Ok t]. *)
 
 type op =
   | Run of { n : int }
@@ -56,9 +53,7 @@ type op =
   | Mwrite of { rounds : int }
   | Shm_rpc of { calls : int }
   | Scrub
-  | Add_node of { capacity : int option }
-  | Drain of { id : int }
-  | Rebalance
+  | Rack of Kona_rack.Rack_ops.op  (** applied immediately *)
   | Migrate_epoch
 
 type setup = {
@@ -104,8 +99,3 @@ val to_string : t -> string
 (** Canonical one-line rendering ([parse (to_string t) = Ok t]). *)
 
 val pp : Format.formatter -> t -> unit
-
-val ns_to_string : int -> string
-val duration_of_string : string -> int
-(** Shared duration helpers (same grammar as {!Kona_faults.Fault_spec}).
-    [duration_of_string] raises on malformed input. *)

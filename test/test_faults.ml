@@ -99,6 +99,10 @@ let test_spec_errors () =
     (String.length (err "partition@1ms:dur=0ns,nodes=0") > 0);
   check_bool "partition needs time" true
     (String.length (err "partition:dur=200us,nodes=0") > 0);
+  check_bool "duplicate key named" true
+    (contains ~sub:"duplicate parameter" (err "wqe-drop:p=0.1,p=0.9"));
+  check_bool "time on a probabilistic kind named" true
+    (contains ~sub:"takes no trigger time" (err "bit-flip@2ms:p=0.1"));
   check_bool "parse_exn raises" true
     (raises_invalid (fun () -> Fault_spec.parse_exn "nope") <> None)
 

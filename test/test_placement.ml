@@ -257,6 +257,25 @@ let test_rack_ops_rejects_garbage () =
     [ "drain@5ms"; "drain@5ms:id=x"; "shrink@1ms"; "drain@bogus:id=1";
       "add@1ms:cap=-3" ]
 
+(* Random schedules survive a print/parse round trip: any non-negative
+   trigger time re-reads exactly through the unit-suffix printer. *)
+let prop_rack_ops_roundtrip =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun c -> Rack_ops.Add_node { capacity = Option.map (( + ) 1) c })
+            (opt (int_bound 100_000_000));
+          map (fun id -> Rack_ops.Drain { id }) (int_bound 7);
+          pure Rack_ops.Rebalance;
+        ])
+  in
+  let at = QCheck.Gen.(oneof [ int_bound 5_000_000_000; map (( * ) 1_000_000) nat ]) in
+  let clause = QCheck.Gen.map2 (fun at_ns op -> { Rack_ops.at_ns; op }) at op in
+  QCheck.Test.make ~name:"rack ops round-trip through to_string" ~count:300
+    (QCheck.make ~print:Rack_ops.to_string QCheck.Gen.(list_size (int_bound 6) clause))
+    (fun t -> Rack_ops.parse (Rack_ops.to_string t) = Ok t)
+
 let () =
   Alcotest.run "kona_placement"
     [
@@ -293,5 +312,6 @@ let () =
           Alcotest.test_case "parses schedules" `Quick test_rack_ops_parse;
           Alcotest.test_case "rejects garbage" `Quick
             test_rack_ops_rejects_garbage;
+          QCheck_alcotest.to_alcotest ~long:false prop_rack_ops_roundtrip;
         ] );
     ]

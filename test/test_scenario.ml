@@ -7,6 +7,7 @@
 open Kona_scenario
 module Rack = Kona_rack.Rack
 module Fault_spec = Kona_faults.Fault_spec
+module Rack_ops = Kona_rack.Rack_ops
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -46,9 +47,10 @@ let test_parse_kitchen_sink () =
       ()
   | _ -> Alcotest.fail "unexpected head ops");
   (match List.rev t.Spec.ops with
-  | Spec.Migrate_epoch :: Spec.Rebalance :: Spec.Drain { id = 2 }
-    :: Spec.Add_node { capacity = Some 4194304 }
-    :: Spec.Add_node { capacity = None } :: Spec.Scrub :: _ ->
+  | Spec.Migrate_epoch :: Spec.Rack Rack_ops.Rebalance
+    :: Spec.Rack (Rack_ops.Drain { id = 2 })
+    :: Spec.Rack (Rack_ops.Add_node { capacity = Some 4194304 })
+    :: Spec.Rack (Rack_ops.Add_node { capacity = None }) :: Spec.Scrub :: _ ->
       ()
   | _ -> Alcotest.fail "unexpected tail ops");
   (* canonical rendering re-parses to the same value *)
@@ -78,6 +80,27 @@ let test_parse_errors () =
   check_bool "bad duration" true (bad "setup:scrub=fast");
   check_bool "zero tenants" true (bad "setup:tenants=0");
   check_bool "empty share" true (bad "setup:shares=0")
+
+(* One mistake, one message: fault plans, rack ops and scenario specs
+   share the clause grammar, so each malformed clause below is rejected
+   with the same text by all three parsers. *)
+let test_malformed_clauses () =
+  let err = function Ok _ -> "accepted" | Error m -> m in
+  List.iter
+    (fun (mistake, fault, rack, spec, expected) ->
+      check_string (mistake ^ ": fault plan") expected (err (Fault_spec.parse fault));
+      check_string (mistake ^ ": rack ops") expected (err (Rack_ops.parse rack));
+      check_string (mistake ^ ": scenario spec") expected (err (Spec.parse spec)))
+    [
+      ( "bad duration", "link-flap@soon:dur=1us", "drain@soon:id=1", "setup:scrub=soon",
+        "bad duration \"soon\" (expected e.g. 500ns, 200us, 2ms, 1s)" );
+      ( "missing =", "wqe-drop:zz", "drain@1ms:zz", "setup:zz",
+        "bad parameter \"zz\" (expected key=value)" );
+      ( "unknown key", "wqe-drop:p=0.1,zz=1", "drain@1ms:id=1,zz=1", "setup:zz=1",
+        "unknown parameter \"zz\"" );
+      ( "duplicate key", "wqe-drop:zz=1,zz=2", "drain@1ms:zz=1,zz=2", "setup:zz=1,zz=2",
+        "duplicate parameter \"zz\" (each key may appear once per clause)" );
+    ]
 
 (* Random well-formed specs survive a print/parse round trip.  Numeric
    fields are drawn from grids whose canonical rendering re-parses
@@ -118,10 +141,10 @@ let spec_gen =
         map (fun c -> Spec.Shm_rpc { calls = c + 1 }) (int_bound 100);
         pure Spec.Scrub;
         map
-          (fun c -> Spec.Add_node { capacity = Option.map (( + ) 1) c })
+          (fun c -> Spec.Rack (Rack_ops.Add_node { capacity = Option.map (( + ) 1) c }))
           (opt (int_bound 100_000_000));
-        map (fun id -> Spec.Drain { id }) (int_bound 7);
-        pure Spec.Rebalance;
+        map (fun id -> Spec.Rack (Rack_ops.Drain { id })) (int_bound 7);
+        pure (Spec.Rack Rack_ops.Rebalance);
         pure Spec.Migrate_epoch;
       ]
   in
@@ -268,13 +291,13 @@ let test_execute_rack_ops () =
       ops =
         [
           Spec.Run { n = 512 };
-          Spec.Add_node { capacity = None };
+          Spec.Rack (Rack_ops.Add_node { capacity = None });
           Spec.Quota { tenant = 1; bytes = Kona_util.Units.mib 24 };
-          Spec.Drain { id = 0 };
+          Spec.Rack (Rack_ops.Drain { id = 0 });
           Spec.Run { n = 512 };
           Spec.Crash { id = 1 };
           Spec.Flap { dur_ns = 20_000 };
-          Spec.Rebalance;
+          Spec.Rack Rack_ops.Rebalance;
           Spec.Migrate_epoch;
         ];
     }
@@ -313,7 +336,7 @@ let test_partition_mid_drain () =
       ops =
         [
           Spec.Run { n = 1024 };
-          Spec.Drain { id = 1 };
+          Spec.Rack (Rack_ops.Drain { id = 1 });
           (* mid-drain: the drain task is pending when this window opens *)
           Spec.Partition { dur_ns = 300_000; ids = [ 0 ] };
           Spec.Run { n = 1024 };
@@ -363,7 +386,7 @@ let test_shrink_syntactic () =
       Spec.Crash { id = 0 };
       Spec.Run { n = 512 };
       Spec.Scrub;
-      Spec.Rebalance;
+      Spec.Rack Rack_ops.Rebalance;
       Spec.Scrub;
       Spec.Flap { dur_ns = 1_000_000 };
       Spec.Run { n = 256 };
@@ -475,6 +498,7 @@ let () =
           Alcotest.test_case "defaults" `Quick test_parse_defaults;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           QCheck_alcotest.to_alcotest ~long:false prop_spec_roundtrip;
+          Alcotest.test_case "malformed clauses" `Quick test_malformed_clauses;
         ] );
       ( "generator",
         [

@@ -409,6 +409,35 @@ let prop_histogram_diff_inverts_merge =
       let back = Histogram.diff ~after:m ~before:a in
       Histogram.buckets back = Histogram.buckets b)
 
+(* ------------------------------------------------------------------ *)
+(* Clause *)
+
+(* Every multiple of every unit renders with the largest exact suffix and
+   reads back to the same nanoseconds; each suffix also reads by hand. *)
+let test_clause_durations () =
+  let check_str = Alcotest.(check string) in
+  List.iter
+    (fun unit ->
+      List.iter
+        (fun k ->
+          let ns = k * unit in
+          check_int (Clause.ns_to_string ns) ns (Clause.duration (Clause.ns_to_string ns)))
+        [ 0; 1; 2; 7; 999; 1000; 1001; 1_000_000; 123_456_789 ])
+    [ 1; 1_000; 1_000_000; 1_000_000_000 ];
+  check_str "zero" "0ns" (Clause.ns_to_string 0);
+  check_str "ns" "1500ns" (Clause.ns_to_string 1_500);
+  check_str "us" "200us" (Clause.ns_to_string 200_000);
+  check_str "ms" "2ms" (Clause.ns_to_string 2_000_000);
+  check_str "s" "3s" (Clause.ns_to_string 3_000_000_000);
+  List.iter
+    (fun (s, ns) -> check_int s ns (Clause.duration s))
+    [ ("5", 5); ("5ns", 5); ("5us", 5_000); ("5ms", 5_000_000); ("5s", 5_000_000_000) ];
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true
+        (match Clause.duration s with _ -> false | exception Clause.Bad _ -> true))
+    [ ""; "soon"; "ns"; "-1us"; "1.5ms"; "2h" ]
+
 let qsuite name props = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) props)
 
 let () =
@@ -476,4 +505,5 @@ let () =
           prop_histogram_merge_concat;
           prop_histogram_diff_inverts_merge;
         ];
+      ("clause", [ Alcotest.test_case "durations round-trip" `Quick test_clause_durations ]);
     ]
