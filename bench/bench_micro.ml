@@ -1,8 +1,7 @@
 (* Bechamel microbenchmarks of the hot data-path primitives: wall-clock
-   cost of the simulator's building blocks (not virtual time).  These back
-   the ablation discussion in EXPERIMENTS.md: the runtime's per-access
-   overhead is dominated by the cache simulator, and CL-log staging is
-   cheap relative to page copies. *)
+   cost of the simulator's building blocks (not virtual time).  The cache
+   rows back the host-cost section of EXPERIMENTS.md: the cache simulator
+   is about half of the runtime's per-access host cost. *)
 
 open Bechamel
 open Toolkit
@@ -10,6 +9,7 @@ module Units = Kona_util.Units
 module Bitmap = Kona_util.Bitmap
 module Rng = Kona_util.Rng
 module Cache = Kona_cachesim.Cache
+module Hierarchy = Kona_cachesim.Hierarchy
 module Heap = Kona_workloads.Heap
 
 let test_bitmap_segments =
@@ -21,12 +21,31 @@ let test_bitmap_segments =
   Test.make ~name:"bitmap.segments (64b, 12 set)"
     (Staged.stage (fun () -> ignore (Bitmap.segments bitmap : (int * int) list)))
 
+(* Address streams are drawn up front and replayed cyclically, so a row
+   times the cache and not the generator. *)
+let stream ~seed ~bound =
+  let rng = Rng.create ~seed in
+  Array.init 65_536 (fun _ -> Rng.int rng bound)
+
 let test_cache_access =
   let cache = Cache.create ~name:"bench" ~size:(Units.kib 32) ~assoc:8 ~block:64 in
-  let rng = Rng.create ~seed:2 in
+  let addrs = stream ~seed:2 ~bound:1_000_000 in
+  let i = ref 0 in
   Test.make ~name:"cache.access (32KB/8-way)"
     (Staged.stage (fun () ->
-         ignore (Cache.access cache ~addr:(Rng.int rng 1_000_000) ~write:false)))
+         i := (!i + 1) land 65_535;
+         ignore (Cache.access cache ~addr:addrs.(!i) ~write:false : int)))
+
+(* Random lines over 2 MB, every fourth access a write: hits at each
+   level, misses, and dirty victims. *)
+let test_hierarchy_access_line =
+  let h = Hierarchy.create () in
+  let addrs = stream ~seed:5 ~bound:(Units.mib 2) in
+  let i = ref 0 in
+  Test.make ~name:"hierarchy.access_line (default, 2MB)"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land 65_535;
+         ignore (Hierarchy.access_line h ~addr:addrs.(!i) ~write:(!i land 3 = 0) : int)))
 
 let test_heap_write =
   let heap = Heap.create ~capacity:(Units.mib 1) ~sink:Kona_trace.Access.Tap.ignore () in
@@ -55,8 +74,8 @@ let test_fmem_lookup =
          ignore (Kona_coherence.Fmem.lookup fmem ~vpage:(Rng.int rng 2048) : bool)))
 
 let tests =
-  [ test_bitmap_segments; test_cache_access; test_heap_write; test_kv_set;
-    test_fmem_lookup ]
+  [ test_bitmap_segments; test_cache_access; test_hierarchy_access_line;
+    test_heap_write; test_kv_set; test_fmem_lookup ]
 
 let run () =
   Report.section "Microbenchmarks (host wall-clock, bechamel)";

@@ -31,6 +31,7 @@ module Backoff = Kona_util.Backoff
 module Hub = Kona_telemetry.Hub
 module Json = Kona_telemetry.Json
 module Snapshot = Kona_telemetry.Snapshot
+module Fmem = Kona_coherence.Fmem
 
 let scale_of full = if full then Workloads.Full else Workloads.Smoke
 let scale_name full = if full then "full" else "smoke"
@@ -93,6 +94,15 @@ type run_result = {
   rr_lost_pages : int;  (** backed pages on a crashed, un-failed-over node *)
   rr_degraded : string option;
 }
+
+(* Sizes a runtime would reject with an exception or an assertion are
+   caught before anything runs, so a bad flag exits 1 with one line. *)
+let bad_flag fmt = Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; exit 1) fmt
+
+let check_fmem_pages n =
+  if n <= 0 || n mod Fmem.default_assoc <> 0 then
+    bad_flag "--fmem-pages must be a positive multiple of %d (got %d)"
+      Fmem.default_assoc n
 
 let parse_fault_spec = function
   | None -> []
@@ -328,6 +338,12 @@ let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
   let spec =
     match specs_of (Some workload) with [ s ] -> s | _ -> assert false
   in
+  check_fmem_pages fmem_pages;
+  (match sq_depth with
+  | Some d when d < 1 -> bad_flag "--sq-depth must be >= 1 (got %d)" d
+  | Some _ | None -> ());
+  if signal_interval < 1 then
+    bad_flag "--signal-interval must be >= 1 (got %d)" signal_interval;
   let faults = parse_fault_spec fault_spec in
   let backoff = backoff_of ~retry_max ~backoff_base_ns in
   let results =
@@ -696,6 +712,7 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
     Fmt.epr "--tenants must be >= 1@.";
     exit 1
   end;
+  if rack_fmem_pages <> 0 then check_fmem_pages rack_fmem_pages;
   let scale = scale_of full in
   let slugs = parse_list ~what:"workload" ~parse:(fun x -> x) workloads in
   let shares = parse_list ~what:"--bw-share" ~parse:int_of_string bw_shares in
@@ -714,6 +731,8 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
   let tenant_cfgs =
     List.init tenants_n (fun i ->
         let slug = nth_cyclic slugs i "kv-uniform" in
+        (* an unknown name exits 1 with the 'konactl workloads' hint *)
+        ignore (specs_of (Some slug) : Workloads.spec list);
         {
           Rack.name = Printf.sprintf "t%d-%s" i slug;
           workload = slug;
@@ -780,7 +799,7 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
   in
   match run_once () with
   | exception Invalid_argument msg ->
-      Fmt.epr "%s (try 'konactl workloads')@." msg;
+      Fmt.epr "%s@." msg;
       1
   | exception Rack_controller.Quota_exceeded q ->
       Fmt.epr

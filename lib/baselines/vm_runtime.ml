@@ -327,18 +327,14 @@ let charge_level t level =
 let sink t event =
   t.accesses <- t.accesses + 1;
   let write = Access.is_write event in
-  if page_bytes t = Units.page_size then
-    Access.iter_pages event (fun page -> page_access t ~page ~write)
-  else begin
-    let first = event.Access.addr / page_bytes t in
-    let last = (Access.end_addr event - 1) / page_bytes t in
-    for page = first to last do
-      page_access t ~page ~write
-    done
-  end;
-  Access.iter_lines event (fun line ->
-      let level = Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write in
-      charge_level t level)
+  let last_byte = Access.end_addr event - 1 in
+  for page = event.Access.addr / page_bytes t to last_byte / page_bytes t do
+    page_access t ~page ~write
+  done;
+  for line = Units.line_of_addr event.Access.addr to Units.line_of_addr last_byte do
+    let level = Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write in
+    charge_level t level
+  done
 
 let drain t =
   let resident = ref [] in

@@ -10,34 +10,55 @@ type t
 
 val create : name:string -> size:int -> assoc:int -> block:int -> t
 (** [size] and [block] in bytes; [assoc] ways.  All three must be positive,
-    [block] a power of two, and [size] a multiple of [assoc * block]. *)
+    [block] a power of two of at least 2, and [size] a multiple of
+    [assoc * block]. *)
 
 val name : t -> string
 val block_size : t -> int
 val sets : t -> int
 
-type evicted = { block_addr : int; dirty : bool }
-(** A victim block: [block_addr] is the byte address of the block start. *)
+(** {2 Access codes}
 
-type outcome =
-  | Hit
-  | Miss of evicted option
-      (** The access missed; the block was filled, evicting the returned
-          victim if the set was full. *)
+    [access] and [flush_block] return a plain [int] so the per-access path
+    allocates nothing:
 
-val access : t -> addr:int -> write:bool -> outcome
-(** Look up the block containing byte [addr]; on miss, allocate it (for
-    both reads and writes: write-allocate).  A write marks the block
-    dirty. *)
+    - {!hit} ([-1]): the block was resident;
+    - {!no_victim} ([-2]): [access] missed and filled an invalid way, or
+      [flush_block] found nothing to invalidate;
+    - any code [>= 0] names a victim: the byte address of its block start
+      ({!victim_addr}) with bit 0 set if the block was dirty
+      ({!victim_dirty}).  Blocks are at least 2 bytes, so bit 0 of a block
+      address is always free. *)
+
+val hit : int
+val no_victim : int
+
+val is_victim : int -> bool
+(** The code names a victim block ([code >= 0]). *)
+
+val victim_addr : int -> int
+(** Block start address of a victim code. *)
+
+val victim_dirty : int -> bool
+(** The code names a victim whose block was dirty; false for {!hit} and
+    {!no_victim}. *)
+
+val access : t -> addr:int -> write:bool -> int
+(** Look up the block containing byte [addr] (non-negative) and return its
+    access code.
+    On a miss, allocate the block (for both reads and writes:
+    write-allocate), evicting the least-recently-used way if the set was
+    full.  A write marks the block dirty. *)
 
 val probe : t -> addr:int -> bool
 (** Presence check without touching LRU state or statistics. *)
 
 val is_dirty : t -> addr:int -> bool
 
-val flush_block : t -> addr:int -> evicted option
-(** Invalidate the block containing [addr] if present; returns it (with its
-    dirty bit) so the caller can propagate the writeback. *)
+val flush_block : t -> addr:int -> int
+(** Invalidate the block containing [addr] if present and return it as a
+    victim code (with its dirty bit) so the caller can propagate the
+    writeback; {!no_victim} if it was absent. *)
 
 val set_dirty : t -> addr:int -> bool
 (** Mark the block containing [addr] dirty if resident (no LRU/stat

@@ -35,71 +35,66 @@ let create ?(config = default_config) ?(on_fill = fun ~addr:_ ~write:_ -> ())
     writebacks = 0;
   }
 
-(* Evicting a victim from [level]: upper levels may hold the line (inclusion
-   violation about to happen) — flush them and fold their dirty bits in. *)
-let back_invalidate uppers (victim : Cache.evicted) =
-  List.fold_left
-    (fun (v : Cache.evicted) upper ->
-      match Cache.flush_block upper ~addr:v.Cache.block_addr with
-      | Some { Cache.dirty = true; _ } -> { v with Cache.dirty = true }
-      | Some _ | None -> v)
-    victim uppers
+(* Invalidate [addr]'s block in an upper level; whether it was dirty. *)
+let flush_dirty cache ~addr = Cache.victim_dirty (Cache.flush_block cache ~addr)
 
-let handle_l2_victim t = function
-  | None -> ()
-  | Some victim ->
-      let victim = back_invalidate [ t.l1 ] victim in
-      if victim.Cache.dirty then
-        ignore (Cache.set_dirty t.llc ~addr:victim.Cache.block_addr : bool)
+(* Evicting a victim from L2 or the LLC: upper levels may hold the line
+   (inclusion violation about to happen) — flush every one of them before
+   their dirty bits are folded into the victim's. *)
+let handle_l2_victim t code =
+  if Cache.is_victim code then begin
+    let addr = Cache.victim_addr code in
+    let d1 = flush_dirty t.l1 ~addr in
+    if d1 || Cache.victim_dirty code then ignore (Cache.set_dirty t.llc ~addr : bool)
+  end
 
-let handle_llc_victim t = function
-  | None -> ()
-  | Some victim ->
-      let victim = back_invalidate [ t.l2; t.l1 ] victim in
-      if victim.Cache.dirty then begin
-        t.writebacks <- t.writebacks + 1;
-        t.on_writeback ~addr:victim.Cache.block_addr
-      end
+let handle_llc_victim t code =
+  if Cache.is_victim code then begin
+    let addr = Cache.victim_addr code in
+    let d2 = flush_dirty t.l2 ~addr in
+    let d1 = flush_dirty t.l1 ~addr in
+    if d2 || d1 || Cache.victim_dirty code then begin
+      t.writebacks <- t.writebacks + 1;
+      t.on_writeback ~addr
+    end
+  end
 
 let access_line t ~addr ~write =
-  match Cache.access t.l1 ~addr ~write with
-  | Cache.Hit -> 1
-  | Cache.Miss l1_victim ->
-      (* An L1 victim is present in L2 by inclusion; sink its dirt there. *)
-      (match l1_victim with
-      | Some { Cache.block_addr; dirty = true } ->
-          ignore (Cache.set_dirty t.l2 ~addr:block_addr : bool)
-      | Some _ | None -> ());
-      (match Cache.access t.l2 ~addr ~write:false with
-      | Cache.Hit -> 2
-      | Cache.Miss l2_victim -> (
-          handle_l2_victim t l2_victim;
-          match Cache.access t.llc ~addr ~write:false with
-          | Cache.Hit -> 3
-          | Cache.Miss llc_victim ->
-              handle_llc_victim t llc_victim;
-              t.memory_accesses <- t.memory_accesses + 1;
-              t.on_fill ~addr:(Units.align_down addr ~alignment:Units.cache_line) ~write;
-              4))
+  let v1 = Cache.access t.l1 ~addr ~write in
+  if v1 = Cache.hit then 1
+  else begin
+    (* An L1 victim is present in L2 by inclusion; sink its dirt there. *)
+    if Cache.victim_dirty v1 then
+      ignore (Cache.set_dirty t.l2 ~addr:(Cache.victim_addr v1) : bool);
+    let v2 = Cache.access t.l2 ~addr ~write:false in
+    if v2 = Cache.hit then 2
+    else begin
+      handle_l2_victim t v2;
+      let v3 = Cache.access t.llc ~addr ~write:false in
+      if v3 = Cache.hit then 3
+      else begin
+        handle_llc_victim t v3;
+        t.memory_accesses <- t.memory_accesses + 1;
+        t.on_fill ~addr:(Units.align_down addr ~alignment:Units.cache_line) ~write;
+        4
+      end
+    end
+  end
 
 let access t event =
   let write = Access.is_write event in
-  Access.iter_lines event (fun line ->
-      ignore (access_line t ~addr:(line * Units.cache_line) ~write : int))
+  for line = Units.line_of_addr event.Access.addr
+      to Units.line_of_addr (Access.end_addr event - 1) do
+    ignore (access_line t ~addr:(line * Units.cache_line) ~write : int)
+  done
 
 let flush_page t ~page =
   let dirty = ref [] in
   for i = 0 to Units.lines_per_page - 1 do
     let addr = (page * Units.page_size) + (i * Units.cache_line) in
-    let d1 =
-      match Cache.flush_block t.l1 ~addr with Some v -> v.Cache.dirty | None -> false
-    in
-    let d2 =
-      match Cache.flush_block t.l2 ~addr with Some v -> v.Cache.dirty | None -> false
-    in
-    let d3 =
-      match Cache.flush_block t.llc ~addr with Some v -> v.Cache.dirty | None -> false
-    in
+    let d1 = flush_dirty t.l1 ~addr in
+    let d2 = flush_dirty t.l2 ~addr in
+    let d3 = flush_dirty t.llc ~addr in
     if d1 || d2 || d3 then dirty := addr :: !dirty
   done;
   List.rev !dirty

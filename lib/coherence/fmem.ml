@@ -22,7 +22,9 @@ type t = {
   set_evictions : int array;
 }
 
-let create ?(assoc = 4) ?(policy = Lru) ~pages () =
+let default_assoc = 4
+
+let create ?(assoc = default_assoc) ?(policy = Lru) ~pages () =
   if pages <= 0 || assoc <= 0 || pages mod assoc <> 0 then
     invalid_arg "Fmem.create: pages must be a positive multiple of assoc";
   let nsets = pages / assoc in

@@ -14,9 +14,12 @@ type policy =
   | Fifo  (** oldest insertion within the set *)
   | Random of int  (** uniform over the set, seeded *)
 
+val default_assoc : int
+(** 4 ways: the associativity [create] uses when none is given. *)
+
 val create : ?assoc:int -> ?policy:policy -> pages:int -> unit -> t
 (** Capacity of [pages] frames (must be a positive multiple of [assoc],
-    default associativity 4, default policy [Lru]). *)
+    default associativity {!default_assoc}, default policy [Lru]). *)
 
 val pages : t -> int
 val assoc : t -> int

@@ -2,7 +2,6 @@ open Kona_util
 module Access = Kona_trace.Access
 module Hierarchy = Kona_cachesim.Hierarchy
 module Fmem = Kona_coherence.Fmem
-module Directory = Kona_coherence.Directory
 module Nic = Kona_rdma.Nic
 module Qp = Kona_rdma.Qp
 module Rpc = Kona_rdma.Rpc
@@ -119,7 +118,16 @@ type t = {
   controller : Rack_controller.t;
   hierarchy : Hierarchy.t;
   fmem : Fmem.t;
-  directory : Directory.t;
+  (* Dirty lines recalled by eviction snoops.  A single runtime only
+     counts its line events: fills and writebacks are the hierarchy's own
+     tallies, and FMem's dirty bitmaps plus the dirty tracker hold the
+     state that matters. *)
+  snoops : int ref;
+  (* Virtual cost of an access served by L1, L2 or the LLC; a fill from
+     memory pays the LLC cost plus what the fill path charges. *)
+  l1_hit_ns : int;
+  l2_hit_ns : int;
+  llc_hit_ns : int;
   rm : Resource_manager.t;
   rpc : Rpc.t;
   log : Cl_log.t;
@@ -227,9 +235,9 @@ let register_metrics t reg =
     ];
   c "hierarchy.memory_accesses" (fun () -> Hierarchy.memory_accesses t.hierarchy);
   c "hierarchy.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
-  c "directory.fills" (fun () -> Directory.fills t.directory);
-  c "directory.writebacks" (fun () -> Directory.writebacks t.directory);
-  c "directory.snoops" (fun () -> Directory.snoops t.directory);
+  c "directory.fills" (fun () -> Hierarchy.memory_accesses t.hierarchy);
+  c "directory.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
+  c "directory.snoops" (fun () -> !(t.snoops));
   c "coherence.invalidations" (fun () -> t.invalidations_received);
   (* Dirty tracking and eviction *)
   g "tracker.lines" (fun () -> Dirty_tracker.lines_tracked t.tracker);
@@ -812,7 +820,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   let fmem =
     Fmem.create ~policy:config.fmem_policy ~pages:config.fmem_pages ()
   in
-  let directory = Directory.create () in
   let replication =
     (* A shared instance (multi-tenant rack) takes precedence: mirrors must
        hold every tenant's writes for a failover to be whole-node. *)
@@ -839,21 +846,16 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   let tracker_ref = ref None in
   let hierarchy =
     Hierarchy.create ~config:config.cache_config
-      ~on_fill:(fun ~addr ~write ->
-        Directory.on_fill directory ~line:(Units.line_of_addr addr) ~write;
+      ~on_fill:(fun ~addr ~write:_ ->
         match !caching_ref with Some c -> Caching_handler.on_fill c ~addr | None -> ())
       ~on_writeback:(fun ~addr ->
-        Directory.on_writeback directory ~line:(Units.line_of_addr addr);
         match !tracker_ref with Some d -> Dirty_tracker.on_writeback d ~addr | None -> ())
       ()
   in
+  let snoops = ref 0 in
   let snoop ~page =
     let dirty = Hierarchy.flush_page hierarchy ~page in
-    List.iter
-      (fun line_addr ->
-        ignore (Directory.snoop directory ~line:(Units.line_of_addr line_addr)
-                 : [ `Clean | `Dirty ]))
-      dirty;
+    snoops := !snoops + List.length dirty;
     dirty
   in
   let evictor = Eviction_handler.create ?tracer ~log ~rm ~read_local ~snoop () in
@@ -889,6 +891,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   evictor_ref := Some evictor;
   caching_ref := Some caching;
   tracker_ref := Some tracker;
+  let cost = config.cost in
   let t =
     {
       config;
@@ -897,7 +900,12 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       controller;
       hierarchy;
       fmem;
-      directory;
+      snoops;
+      l1_hit_ns = int_of_float cost.Cost_model.l1_ns;
+      l2_hit_ns = int_of_float (cost.Cost_model.l1_ns +. cost.Cost_model.l2_ns);
+      llc_hit_ns =
+        int_of_float
+          (cost.Cost_model.l1_ns +. cost.Cost_model.l2_ns +. cost.Cost_model.llc_ns);
       rm;
       rpc;
       log;
@@ -1209,22 +1217,17 @@ let poll_faults t =
   | None -> ()
 
 let charge_level t level =
-  let c = t.config.cost in
-  let ns =
-    match level with
-    | 1 -> c.Cost_model.l1_ns
-    | 2 -> c.Cost_model.l1_ns +. c.Cost_model.l2_ns
-    | _ -> c.Cost_model.l1_ns +. c.Cost_model.l2_ns +. c.Cost_model.llc_ns
-  in
-  Clock.advance t.app_clock (int_of_float ns)
+  Clock.advance t.app_clock
+    (match level with 1 -> t.l1_hit_ns | 2 -> t.l2_hit_ns | _ -> t.llc_hit_ns)
 
 let sink t event =
   poll_faults t;
   t.accesses <- t.accesses + 1;
   let write = Access.is_write event in
-  Access.iter_lines event (fun line ->
-      let level = Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write in
-      charge_level t level)
+  for line = Units.line_of_addr event.Access.addr
+      to Units.line_of_addr (Access.end_addr event - 1) do
+    charge_level t (Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write)
+  done
 
 let drain t =
   poll_faults t;
@@ -1378,9 +1381,9 @@ let stats t =
       ("log.doorbell_batches", Cl_log.doorbell_batches t.log);
       ("evict.window_stalls", Qp.window_stalls t.evict_qp);
       ("rdma.fetch_wire_bytes", Qp.wire_bytes t.fetch_qp);
-      ("directory.fills", Directory.fills t.directory);
-      ("directory.writebacks", Directory.writebacks t.directory);
-      ("directory.snoops", Directory.snoops t.directory);
+      ("directory.fills", Hierarchy.memory_accesses t.hierarchy);
+      ("directory.writebacks", Hierarchy.writebacks t.hierarchy);
+      ("directory.snoops", !(t.snoops));
       ("slabs", List.length (Resource_manager.slabs t.rm));
       ("controller.round_trips", Resource_manager.controller_round_trips t.rm);
       ( "faults.injected",

@@ -15,12 +15,10 @@ let small_cache ?(size = 512) ?(assoc = 2) ?(block = 64) () =
 
 let test_cache_hit_miss () =
   let c = small_cache () in
-  (match Cache.access c ~addr:0 ~write:false with
-  | Cache.Miss None -> ()
-  | _ -> Alcotest.fail "cold access must miss with no victim");
-  (match Cache.access c ~addr:32 ~write:false with
-  | Cache.Hit -> ()
-  | _ -> Alcotest.fail "same line must hit");
+  if Cache.access c ~addr:0 ~write:false <> Cache.no_victim then
+    Alcotest.fail "cold access must miss with no victim";
+  if Cache.access c ~addr:32 ~write:false <> Cache.hit then
+    Alcotest.fail "same line must hit";
   let s = Cache.stats c in
   check_int "reads" 2 s.Cache.reads;
   check_int "read misses" 1 s.Cache.read_misses
@@ -32,9 +30,9 @@ let test_cache_lru_eviction () =
   ignore (Cache.access c ~addr:(addr 0) ~write:false);
   ignore (Cache.access c ~addr:(addr 4) ~write:false);
   ignore (Cache.access c ~addr:(addr 0) ~write:false) (* refresh line 0 *);
-  (match Cache.access c ~addr:(addr 8) ~write:false with
-  | Cache.Miss (Some v) -> check_int "LRU victim is line 4" (addr 4) v.Cache.block_addr
-  | _ -> Alcotest.fail "expected eviction");
+  let v = Cache.access c ~addr:(addr 8) ~write:false in
+  if not (Cache.is_victim v) then Alcotest.fail "expected eviction";
+  check_int "LRU victim is line 4" (addr 4) (Cache.victim_addr v);
   check_bool "line 0 kept" true (Cache.probe c ~addr:(addr 0));
   check_bool "line 4 gone" false (Cache.probe c ~addr:(addr 4))
 
@@ -44,23 +42,22 @@ let test_cache_dirty_writeback () =
   ignore (Cache.access c ~addr:(addr 0) ~write:true);
   check_bool "dirty after write" true (Cache.is_dirty c ~addr:(addr 0));
   ignore (Cache.access c ~addr:(addr 4) ~write:false);
-  (match Cache.access c ~addr:(addr 8) ~write:false with
-  | Cache.Miss (Some v) ->
-      check_int "victim addr" (addr 0) v.Cache.block_addr;
-      check_bool "victim dirty" true v.Cache.dirty
-  | _ -> Alcotest.fail "expected dirty eviction");
+  let v = Cache.access c ~addr:(addr 8) ~write:false in
+  if not (Cache.is_victim v) then Alcotest.fail "expected dirty eviction";
+  check_int "victim addr" (addr 0) (Cache.victim_addr v);
+  check_bool "victim dirty" true (Cache.victim_dirty v);
   check_int "dirty evictions counted" 1 (Cache.stats c).Cache.dirty_evictions
 
 let test_cache_flush_and_set_dirty () =
   let c = small_cache () in
   ignore (Cache.access c ~addr:100 ~write:false);
   check_bool "set_dirty on resident" true (Cache.set_dirty c ~addr:100);
-  (match Cache.flush_block c ~addr:100 with
-  | Some v -> check_bool "flushed dirty" true v.Cache.dirty
-  | None -> Alcotest.fail "expected resident block");
+  let v = Cache.flush_block c ~addr:100 in
+  if v = Cache.no_victim then Alcotest.fail "expected resident block";
+  check_bool "flushed dirty" true (Cache.victim_dirty v);
   check_bool "gone after flush" false (Cache.probe c ~addr:100);
   check_bool "set_dirty on absent" false (Cache.set_dirty c ~addr:100);
-  Alcotest.(check (option reject)) "flush absent" None (Cache.flush_block c ~addr:100)
+  check_int "flush absent" Cache.no_victim (Cache.flush_block c ~addr:100)
 
 let test_cache_create_validation () =
   check_bool "bad block" true
@@ -178,34 +175,103 @@ let prop_no_lost_writes =
       done;
       Hashtbl.fold (fun addr () acc -> acc && Hashtbl.mem writebacks addr) written true)
 
-(* A reference model: fully-associative LRU as a plain list.  A Cache
-   configured with a single set must agree with it exactly. *)
+(* A reference model: fully-associative LRU as a plain list, MRU first,
+   of (block, dirty).  A Cache configured with a single set must agree
+   with it exactly, victim address and dirty bit included. *)
+let lru_ways = 4
+
+let single_set_cache () =
+  Cache.create ~name:"ref" ~size:(lru_ways * 64) ~assoc:lru_ways ~block:64
+
+let code_of (block, dirty) = if dirty then block lor 1 else block
+
+(* Apply one access to the model; the code the cache must return. *)
+let model_access model ~addr ~write =
+  let block = addr / 64 * 64 in
+  match List.assoc_opt block !model with
+  | Some dirty ->
+      model := (block, dirty || write) :: List.remove_assoc block !model;
+      Cache.hit
+  | None ->
+      let kept, expected =
+        if List.length !model >= lru_ways then
+          ( List.filteri (fun i _ -> i < lru_ways - 1) !model,
+            code_of (List.nth !model (lru_ways - 1)) )
+        else (!model, Cache.no_victim)
+      in
+      model := (block, write) :: kept;
+      expected
+
 let prop_cache_matches_lru_model =
   QCheck.Test.make ~name:"single-set cache == list-based LRU model" ~count:100
     QCheck.(list_of_size Gen.(1 -- 200) (pair (int_bound 2_000) bool))
     (fun ops ->
-      let ways = 4 in
-      let c = Cache.create ~name:"ref" ~size:(ways * 64) ~assoc:ways ~block:64 in
-      let model = ref [] (* MRU first; (block, dirty) *) in
+      let c = single_set_cache () in
+      let model = ref [] in
       List.for_all
         (fun (addr, write) ->
-          let block = addr / 64 * 64 in
-          let model_hit = List.mem_assoc block !model in
-          (if model_hit then begin
-             let dirty = List.assoc block !model || write in
-             model := (block, dirty) :: List.remove_assoc block !model
-           end
-           else begin
-             let kept = if List.length !model >= ways then
-                 List.filteri (fun i _ -> i < ways - 1) !model
-               else !model
-             in
-             model := (block, write) :: kept
-           end);
-          match Cache.access c ~addr ~write with
-          | Cache.Hit -> model_hit
-          | Cache.Miss _ -> not model_hit)
+          let expected = model_access model ~addr ~write in
+          Cache.access c ~addr ~write = expected)
         ops)
+
+let prop_flush_reports_dirty_iff_written =
+  QCheck.Test.make ~name:"flush_block dirty iff written since fill" ~count:100
+    QCheck.(list_of_size Gen.(1 -- 200) (triple (int_bound 600) bool bool))
+    (fun ops ->
+      let c = single_set_cache () in
+      let model = ref [] in
+      List.for_all
+        (fun (addr, write, flush) ->
+          if flush then begin
+            let block = addr / 64 * 64 in
+            let expected =
+              match List.assoc_opt block !model with
+              | Some dirty -> code_of (block, dirty)
+              | None -> Cache.no_victim
+            in
+            model := List.remove_assoc block !model;
+            Cache.flush_block c ~addr = expected
+          end
+          else
+            let expected = model_access model ~addr ~write in
+            Cache.access c ~addr ~write = expected)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation *)
+
+let accesses = 100_000
+
+(* Minor words per call of [f i] over [accesses] calls. *)
+let words_per_call f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to accesses - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int accesses
+
+let test_access_line_allocates_nothing () =
+  (* Half the stream revisits eight hot lines (L1 hits); the rest writes
+     and reads 1024 lines over a 2 KiB LLC, so misses evict dirty
+     victims at every level. *)
+  let rng = Kona_util.Rng.create ~seed:5 in
+  let addrs =
+    Array.init accesses (fun i ->
+        if i mod 2 = 0 then Kona_util.Rng.int rng 8 * 64 else Kona_util.Rng.int rng 65_536)
+  in
+  let writes = Array.init accesses (fun _ -> Kona_util.Rng.bool rng) in
+  let h = Hierarchy.create ~config:tiny_config () in
+  let levels = Array.make 5 0 in
+  let words =
+    words_per_call (fun i ->
+        let level = Hierarchy.access_line h ~addr:addrs.(i) ~write:writes.(i) in
+        levels.(level) <- levels.(level) + 1)
+  in
+  check_bool "stream hits L1" true (levels.(1) > 0);
+  check_bool "stream reaches memory" true (levels.(4) > 0);
+  check_bool "stream writes dirty victims back" true (Hierarchy.writebacks h > 0);
+  if words >= 0.01 then
+    Alcotest.failf "access_line allocates %.3f minor words per call" words
 
 let qsuite name props = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) props)
 
@@ -221,7 +287,12 @@ let () =
           Alcotest.test_case "create validation" `Quick test_cache_create_validation;
         ] );
       qsuite "cache-props"
-        [ prop_cache_capacity; prop_cache_hit_after_access; prop_cache_matches_lru_model ];
+        [
+          prop_cache_capacity;
+          prop_cache_hit_after_access;
+          prop_cache_matches_lru_model;
+          prop_flush_reports_dirty_iff_written;
+        ];
       ( "hierarchy",
         [
           Alcotest.test_case "levels" `Quick test_hierarchy_levels;
@@ -230,6 +301,8 @@ let () =
             test_hierarchy_writeback_reaches_memory;
           Alcotest.test_case "flush page" `Quick test_hierarchy_flush_page;
           Alcotest.test_case "resident dirty lines" `Quick test_hierarchy_resident_dirty;
+          Alcotest.test_case "access_line allocates nothing" `Quick
+            test_access_line_allocates_nothing;
         ] );
       qsuite "hierarchy-props" [ prop_no_lost_writes ];
     ]

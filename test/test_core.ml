@@ -648,6 +648,23 @@ let test_runtime_clocks_advance () =
   check_bool "elapsed = max" true
     (Runtime.elapsed_ns runtime = max (Runtime.app_ns runtime) (Runtime.bg_ns runtime))
 
+let test_runtime_sink_allocates_nothing () =
+  (* Once a line is resident in L1, sinking reads and writes of it must
+     not allocate: the access path runs on int codes and plain loops. *)
+  let runtime, heap, _ = make_runtime () in
+  let a = Heap.alloc heap 4096 in
+  Heap.write_u64 heap a 1;
+  let events = [| Access.read ~addr:a ~len:8; Access.write ~addr:a ~len:8 |] in
+  let n = 100_000 in
+  let app0 = Runtime.app_ns runtime in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Runtime.sink runtime events.(i land 1)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool "every access charged" true (Runtime.app_ns runtime - app0 >= n);
+  if words >= 0.01 then Alcotest.failf "Runtime.sink allocates %.3f minor words per call" words
+
 let prop_runtime_integrity_random_ops =
   (* Any interleaving of reads/writes over a small region, driven through
      the full runtime with a tiny cache, drains to byte-identical remote
@@ -1150,6 +1167,8 @@ let () =
           Alcotest.test_case "multi-node distribution" `Quick
             test_runtime_multi_node_distribution;
           Alcotest.test_case "clocks" `Quick test_runtime_clocks_advance;
+          Alcotest.test_case "L1-resident sink allocates nothing" `Quick
+            test_runtime_sink_allocates_nothing;
           Alcotest.test_case "drain invariant with windowed QPs" `Quick
             test_drain_invariant_with_windowed_qp;
           Alcotest.test_case "breakdown sums to bg clock (kv-uniform)" `Quick
