@@ -104,6 +104,15 @@ let check_fmem_pages n =
     bad_flag "--fmem-pages must be a positive multiple of %d (got %d)"
       Fmem.default_assoc n
 
+(* Lease timings [Membership.create] rejects; the lease only matters
+   once heartbeats are on. *)
+let check_membership ~heartbeat_ns ~lease_ns =
+  match heartbeat_ns with
+  | Some h when h <= 0 -> bad_flag "--heartbeat-ns must be positive (got %d)" h
+  | Some h when lease_ns < h ->
+      bad_flag "--lease-ns must be >= --heartbeat-ns (got %d < %d)" lease_ns h
+  | Some _ | None -> ()
+
 let parse_fault_spec = function
   | None -> []
   | Some s -> (
@@ -344,6 +353,7 @@ let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
   | Some _ | None -> ());
   if signal_interval < 1 then
     bad_flag "--signal-interval must be >= 1 (got %d)" signal_interval;
+  check_membership ~heartbeat_ns ~lease_ns;
   let faults = parse_fault_spec fault_spec in
   let backoff = backoff_of ~retry_max ~backoff_base_ns in
   let results =
@@ -713,6 +723,7 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
     exit 1
   end;
   if rack_fmem_pages <> 0 then check_fmem_pages rack_fmem_pages;
+  check_membership ~heartbeat_ns ~lease_ns;
   let scale = scale_of full in
   let slugs = parse_list ~what:"workload" ~parse:(fun x -> x) workloads in
   let shares = parse_list ~what:"--bw-share" ~parse:int_of_string bw_shares in

@@ -5,9 +5,9 @@
     is lazy — a counter is brought current only when touched or read — so
     tracking cost is O(1) per event and the table never needs a sweep.
 
-    Determinism: heat is a pure function of the (event, virtual-time)
-    stream, so the same seeds produce the same heat and hence the same
-    migration plans. *)
+    Determinism: heat is a pure function of the stream of events and
+    {!fold}s with their virtual times, so the same seeds produce the same
+    heat and hence the same migration plans. *)
 
 type t
 
@@ -23,17 +23,21 @@ val touch : t -> vpage:int -> weight:int -> now:int -> unit
 val heat : t -> vpage:int -> now:int -> int
 (** [vpage]'s counter decayed to [now]; 0 for untracked pages. *)
 
-val iter : t -> now:int -> (vpage:int -> heat:int -> unit) -> unit
-(** Every tracked page with its decayed counter, in increasing [vpage]
-    order (deterministic).  Pages whose counter decayed to 0 are dropped
-    from the table as a side effect. *)
+val fold : t -> now:int -> (vpage:int -> heat:int -> 'a -> 'a) -> 'a -> 'a
+(** Settle every page with a nonzero counter to [now] and fold [f] over
+    those still nonzero, in unspecified order.  Costs O(pages with
+    nonzero heat): a page the fold finds at 0 leaves the fold's working
+    set until its next {!touch}.
 
-val ranked : t -> now:int -> (int * int) list
-(** [(vpage, heat)] pairs sorted hottest first (ties broken by lower
-    [vpage]) — the migrator's working set. *)
+    That is invisible to {!heat} and {!touch}: they behave exactly as if
+    each fold had settled every page ever touched — including a fold at
+    a [now] ahead of a later {!touch} (another tenant's clock ran ahead),
+    which keeps that touch's weight from decaying at the epoch boundary
+    the fold already crossed. *)
 
 val tracked : t -> int
-(** Pages currently tracked. *)
+(** Pages {!fold} would visit: those touched since, or nonzero at, the
+    last fold. *)
 
 val touches : t -> int
 (** Total events folded in. *)

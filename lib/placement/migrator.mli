@@ -14,9 +14,12 @@
 type env = {
   nodes : unit -> Placement_policy.node_info list;
       (** Live rack topology snapshot. *)
-  pages : now:int -> Placement_policy.page_info list;
-      (** Every migratable page with its decayed heat, hottest first
-          (deterministic tie-break). *)
+  pages : now:int -> Placement_policy.pages;
+      (** Every migratable page with its heat decayed to [now]: the
+          nonzero-heat prefix hottest first, and the zero-heat tail
+          lazily.  Called once per epoch, so it must cost O(pages with
+          nonzero heat) until the tail is forced; the policy decides
+          whether to force it. *)
   flush_logs : unit -> unit;
       (** Flush all tenants' CL logs.  Must run before any remap:
           staged log entries resolve (node, raddr) at append time. *)

@@ -13,12 +13,19 @@ type page_info = {
   pi_heat : int;
 }
 
+type pages = { hot : page_info list; cold : page_info list Lazy.t }
+
+let hottest_first a b =
+  if a.pi_heat <> b.pi_heat then Int.compare b.pi_heat a.pi_heat
+  else if a.pi_tenant <> b.pi_tenant then Int.compare a.pi_tenant b.pi_tenant
+  else Int.compare a.pi_vpage b.pi_vpage
+
 type move = { mv_tenant : int; mv_vpage : int; mv_dst : int }
 
 type t = {
   name : string;
   choose_node : nodes:node_info list -> tenant:int -> int option;
-  plan : nodes:node_info list -> pages:page_info list -> budget:int -> move list;
+  plan : nodes:node_info list -> pages:pages -> budget:int -> move list;
   stats : unit -> (string * int) list;
 }
 
@@ -59,15 +66,28 @@ let best_dst slots ~pred =
     slots;
   !best
 
+(* Membership of a node id in [nodes] with [pred], as an array lookup:
+   plans test it once per page. *)
+let node_set nodes pred =
+  let set =
+    Array.make (List.fold_left (fun a n -> max a (n.ni_node + 1)) 0 nodes) false
+  in
+  List.iter (fun n -> if pred n then set.(n.ni_node) <- true) nodes;
+  fun id -> id >= 0 && id < Array.length set && set.(id)
+
+(* Every page coldest first: the zero-heat tail reversed, then the hot
+   prefix reversed. *)
+let iter_coldest_first pages f =
+  List.iter f (List.rev (Lazy.force pages.cold));
+  List.iter f (List.rev pages.hot)
+
 let heat_aware ?(hot_threshold = 2) () =
   if hot_threshold <= 0 then
     invalid_arg "Placement_policy.heat_aware: non-positive threshold";
   let promotions = ref 0 and demotions = ref 0 and no_room = ref 0 in
   let plan ~nodes ~pages ~budget =
     let slots = List.map (fun info -> { info; free = info.ni_free }) nodes in
-    let is_fast id =
-      List.exists (fun n -> n.ni_node = id && n.ni_fast) nodes
-    in
+    let is_fast = node_set nodes (fun n -> n.ni_fast) in
     let moves = ref [] and left = ref budget in
     let emit p dst =
       dst.free <- dst.free - page;
@@ -76,8 +96,9 @@ let heat_aware ?(hot_threshold = 2) () =
                :: !moves;
       decr left
     in
-    (* Hot pages stranded on the slow tier come first ([pages] arrives
-       hottest-first). *)
+    (* Hot pages stranded on the slow tier come first, hottest first.
+       Zero-heat pages are below any threshold, so the hot prefix holds
+       every candidate. *)
     List.iter
       (fun p ->
         if !left > 0 && p.pi_heat >= hot_threshold && not (is_fast p.pi_node)
@@ -85,31 +106,26 @@ let heat_aware ?(hot_threshold = 2) () =
           match best_dst slots ~pred:(fun n -> n.ni_fast) with
           | Some dst -> incr promotions; emit p dst
           | None -> incr no_room)
-      pages;
+      pages.hot;
     (* Demote cold residue off the fast tier only under pressure — when
        its headroom has fallen below 1/8 of its capacity — so a tier
-       with room left doesn't churn. *)
-    let fast_free () =
-      List.fold_left
-        (fun a s -> if s.info.ni_fast then a + s.free else a)
-        0 slots
+       with room left doesn't churn.  Demotions land on slow nodes only,
+       so the fast tier's headroom is fixed for the whole pass: test it
+       once, and force the zero-heat tail only when it fails. *)
+    let fast_free =
+      List.fold_left (fun a s -> if s.info.ni_fast then a + s.free else a) 0 slots
     in
     let fast_cap =
       List.fold_left
         (fun a n -> if n.ni_fast then a + n.ni_capacity else a)
         0 nodes
     in
-    List.iter
-      (fun p ->
-        if
-          !left > 0
-          && fast_free () < fast_cap / 8
-          && p.pi_heat < hot_threshold && is_fast p.pi_node
-        then
-          match best_dst slots ~pred:(fun n -> not n.ni_fast) with
-          | Some dst -> incr demotions; emit p dst
-          | None -> incr no_room)
-      (List.rev pages);
+    if !left > 0 && fast_free < fast_cap / 8 then
+      iter_coldest_first pages (fun p ->
+          if !left > 0 && p.pi_heat < hot_threshold && is_fast p.pi_node then
+            match best_dst slots ~pred:(fun n -> not n.ni_fast) with
+            | Some dst -> incr demotions; emit p dst
+            | None -> incr no_room);
     List.rev !moves
   in
   {
@@ -145,28 +161,26 @@ let centralized () =
            with the most headroom. *)
         let slack = 64 * page in
         let slots = List.map (fun info -> { info; free = info.ni_free }) live in
-        let over id =
-          List.exists
-            (fun n -> n.ni_node = id && used n > mean + slack)
-            live
-        in
+        let overfull n = used n > mean + slack in
+        let over = node_set live overfull in
         let moves = ref [] and left = ref budget in
-        List.iter
-          (fun p ->
-            if !left > 0 && over p.pi_node then
-              match
-                best_dst slots ~pred:(fun n -> n.ni_node <> p.pi_node)
-              with
-              | Some dst when used dst.info < mean + slack ->
-                  incr rebalances;
-                  dst.free <- dst.free - page;
-                  moves :=
-                    { mv_tenant = p.pi_tenant; mv_vpage = p.pi_vpage;
-                      mv_dst = dst.info.ni_node }
-                    :: !moves;
-                  decr left
-              | _ -> ())
-          (List.rev pages) (* coldest first: balance with cheap pages *);
+        (* Shed coldest first, to balance with cheap pages; a rack with
+           no overfull node never forces the zero-heat tail. *)
+        if List.exists overfull live then
+          iter_coldest_first pages (fun p ->
+              if !left > 0 && over p.pi_node then
+                match
+                  best_dst slots ~pred:(fun n -> n.ni_node <> p.pi_node)
+                with
+                | Some dst when used dst.info < mean + slack ->
+                    incr rebalances;
+                    dst.free <- dst.free - page;
+                    moves :=
+                      { mv_tenant = p.pi_tenant; mv_vpage = p.pi_vpage;
+                        mv_dst = dst.info.ni_node }
+                      :: !moves;
+                    decr left
+                | _ -> ());
         List.rev !moves
   in
   {

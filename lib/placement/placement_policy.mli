@@ -35,6 +35,22 @@ type page_info = {
   pi_heat : int;  (** decayed heat counter *)
 }
 
+val hottest_first : page_info -> page_info -> int
+(** Higher heat first, ties broken by lower (tenant, vpage). *)
+
+(** One epoch's migratable pages, split at the first zero-heat page:
+    [hot @ Lazy.force cold] is every candidate in {!hottest_first}
+    order. *)
+type pages = {
+  hot : page_info list;
+      (** Pages with nonzero heat, hottest first.  Built from the heat
+          tables: O(hot pages). *)
+  cold : page_info list Lazy.t;
+      (** The zero-heat rest, in (tenant, vpage) order.  Forcing it walks
+          every backed page, so a plan forces it only when it has to
+          look at cold pages. *)
+}
+
 type move = {
   mv_tenant : int;
   mv_vpage : int;
@@ -46,9 +62,13 @@ type t = {
   choose_node : nodes:node_info list -> tenant:int -> int option;
       (** Pick a node for a fresh slab; [None] defers to the
           controller's round-robin. Never returns a draining node. *)
-  plan : nodes:node_info list -> pages:page_info list -> budget:int -> move list;
-      (** Up to [budget] moves for this epoch. [pages] arrives hottest
-          first. Returned moves must target live, non-draining nodes. *)
+  plan : nodes:node_info list -> pages:pages -> budget:int -> move list;
+      (** Up to [budget] moves for this epoch. Returned moves must target
+          live, non-draining nodes.  A plan reads [pages.hot] freely and
+          forces [pages.cold] only when it needs cold pages: [first_fit]
+          never does, [heat_aware] only to demote under fast-tier
+          pressure, [centralized] only when some live node is
+          overfull. *)
   stats : unit -> (string * int) list;
       (** Policy-internal counters for telemetry/debugging. *)
 }

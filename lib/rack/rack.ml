@@ -151,6 +151,10 @@ type fabric = {
       (* one scheduler per node id the rack can ever hold: the initial
          nodes, the adds in [cfg.ops] and [cfg.extra_node_slots] *)
   heats : Heat.t array;
+      (* per tenant, its private pages: every page a fetch or eviction
+         touched below the segment, hence owned and backed — exactly the
+         migrator's candidates that have ever had heat *)
+  seg_heats : Heat.t array;  (* per tenant, its published-segment pages *)
   seg : segment;
   mutable node_count : int;
 }
@@ -199,11 +203,27 @@ type engine = {
   mutable finished : result option;
 }
 
+let slab_size = Units.mib 1
+
 let validate cfg tenants ~planned_nodes =
   if tenants = [] then invalid_arg "Rack.run: no tenants";
   if cfg.nodes < 1 then invalid_arg "Rack.run: need at least one node";
   if cfg.shared_pages < 0 || cfg.shared_ops < 0 then
     invalid_arg "Rack.run: negative shared-segment parameters";
+  (* The segment is published at start, in whole slabs, onto the initial
+     nodes; one that cannot fit there would fail only after the image
+     and the tenants' traces were allocated.  (Compared per node, so no
+     product can overflow.) *)
+  let ceil_div a b = (a / b) + if a mod b > 0 then 1 else 0 in
+  if
+    ceil_div (ceil_div cfg.shared_pages (slab_size / page)) cfg.nodes
+    > max 0 cfg.node_capacity / slab_size
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Rack.run: a shared segment of %d pages does not fit %d node(s) of \
+          %d bytes"
+         cfg.shared_pages cfg.nodes cfg.node_capacity);
   if cfg.quantum < 1 then invalid_arg "Rack.run: quantum must be positive";
   if cfg.shared_writers < 1 then
     invalid_arg "Rack.run: shared_writers must be >= 1";
@@ -329,29 +349,46 @@ let place_page f ~dst ~data =
     Some addr
   end
 
+(* The migrator's feed.  The hot prefix folds the private heat tables,
+   which hold every candidate with nonzero heat, so an epoch costs
+   O(hot pages).  The zero-heat tail walks every backed page, and only
+   when a plan forces it. *)
 let page_infos f ~now =
-  let acc = ref [] in
+  let info i ~vpage ~node ~heat =
+    { Placement_policy.pi_vpage = vpage; pi_tenant = i; pi_node = node;
+      pi_heat = heat }
+  in
+  let hot = ref [] in
   Array.iteri
-    (fun i rt ->
-      Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-        (fun ~vpage ~node ~remote_addr:_ ->
-          if not (in_seg_range f.seg vpage) then
-            acc :=
-              {
-                Placement_policy.pi_vpage = vpage;
-                pi_tenant = i;
-                pi_node = node;
-                pi_heat = Heat.heat f.heats.(i) ~vpage ~now;
-              }
-              :: !acc))
-    f.runtimes;
-  (* hottest first; ties by (tenant, vpage) *)
-  List.sort
-    (fun a b ->
-      let open Placement_policy in
-      if a.pi_heat <> b.pi_heat then compare b.pi_heat a.pi_heat
-      else compare (a.pi_tenant, a.pi_vpage) (b.pi_tenant, b.pi_vpage))
-    !acc
+    (fun i h ->
+      let rm = Runtime.resource_manager f.runtimes.(i) in
+      hot :=
+        Heat.fold h ~now
+          (fun ~vpage ~heat acc ->
+            match Resource_manager.translate rm ~vaddr:(vpage * page) with
+            | Some (node, _) -> info i ~vpage ~node ~heat :: acc
+            | None -> acc)
+          !hot)
+    f.heats;
+  let cold =
+    lazy
+      (List.concat_map
+         (fun i ->
+           let acc = ref [] in
+           Resource_manager.iter_backed_pages
+             (Runtime.resource_manager f.runtimes.(i))
+             (fun ~vpage ~node ~remote_addr:_ ->
+               if
+                 (not (in_seg_range f.seg vpage))
+                 && Heat.heat f.heats.(i) ~vpage ~now = 0
+               then acc := info i ~vpage ~node ~heat:0 :: !acc);
+           List.sort Placement_policy.hottest_first !acc)
+         (List.init (Array.length f.runtimes) Fun.id))
+  in
+  {
+    Placement_policy.hot = List.sort Placement_policy.hottest_first !hot;
+    cold;
+  }
 
 let move_page f mv =
   let { Placement_policy.mv_tenant = ti; mv_vpage = vpage; mv_dst = dst } =
@@ -539,15 +576,19 @@ let shared_line_read e ~tenant ~line =
 
 (* -------- placement feed: heat and fetch attribution -------- *)
 
+let heat_table f i ~vpage =
+  if in_seg_range f.seg vpage then f.seg_heats.(i) else f.heats.(i)
+
 (* Demand fetches heat the page, count toward the tier hit ratios, and
    register the fetching tenant as a sharer of a segment page. *)
 let on_fetch e i ~vpage =
   let f = e.fab in
   let rt = f.runtimes.(i) in
   let now = Runtime.elapsed_ns rt in
-  Heat.touch f.heats.(i) ~vpage ~weight:2 ~now;
+  let heat = heat_table f i ~vpage in
+  Heat.touch heat ~vpage ~weight:2 ~now;
   e.fetch_total <- e.fetch_total + 1;
-  let hot = Heat.heat f.heats.(i) ~vpage ~now >= f.cfg.hot_threshold in
+  let hot = Heat.heat heat ~vpage ~now >= f.cfg.hot_threshold in
   if hot then e.hot_total <- e.hot_total + 1;
   (match
      Resource_manager.translate (Runtime.resource_manager rt)
@@ -568,7 +609,7 @@ let on_fetch e i ~vpage =
    page's home node. *)
 let on_evict e i ~vpage ~dirty =
   let f = e.fab in
-  Heat.touch f.heats.(i) ~vpage ~weight:1
+  Heat.touch (heat_table f i ~vpage) ~vpage ~weight:1
     ~now:(Runtime.elapsed_ns f.runtimes.(i));
   if i = 0 && dirty && in_seg f.seg vpage then
     List.iter
@@ -1031,7 +1072,7 @@ let start cfg tenants =
   validate cfg tenants ~planned_nodes;
   let tenants = Array.of_list tenants in
   let n = Array.length tenants in
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
+  let controller = Rack_controller.create ~slab_size () in
   for id = 0 to cfg.nodes - 1 do
     Rack_controller.register_node controller
       (Memory_node.create ~id ~capacity:cfg.node_capacity)
@@ -1116,6 +1157,8 @@ let start cfg tenants =
       runtimes;
       wfq;
       heats =
+        Array.init n (fun _ -> Heat.create ~epoch_ns:cfg.migrate_epoch_ns);
+      seg_heats =
         Array.init n (fun _ -> Heat.create ~epoch_ns:cfg.migrate_epoch_ns);
       seg;
       node_count = cfg.nodes;
@@ -1205,6 +1248,8 @@ let start cfg tenants =
 (* -------- scenario adapters and invariant accessors -------- *)
 
 let force_migration e = Migrator.force e.migrator ~now:(now_ns e)
+let migration_feed e ~now = page_infos e.fab ~now
+let private_heat e ~tenant = e.fab.heats.(tenant)
 let flush_logs e = flush_all e.fab
 
 (* The single-owner-per-line invariant: the MSI home table must be

@@ -241,6 +241,16 @@ val force_scrub : engine -> unit
 val force_migration : engine -> unit
 (** Run one migration epoch immediately ({!Kona_placement.Migrator.force}). *)
 
+val migration_feed : engine -> now:int -> Kona_placement.Placement_policy.pages
+(** What the migrator's epoch at [now] reads: every owned, backed page
+    below the shared segment with its heat decayed to [now], as the
+    nonzero-heat prefix (O(hot pages)) and the lazy zero-heat tail.
+    Settles the heat tables to [now], as an epoch does. *)
+
+val private_heat : engine -> tenant:int -> Kona_placement.Heat.t
+(** Tenant [tenant]'s heat for its pages below the shared segment — the
+    table {!migration_feed} folds. *)
+
 val publish : engine -> pages:int -> unit
 (** Publish the shared segment mid-run (tenant 0 backs it, others map
     foreign).  No-op if already published or [pages <= 0]. *)

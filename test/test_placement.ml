@@ -29,22 +29,123 @@ let test_heat_accumulates_and_decays () =
   check_int "untracked page reads 0" 0 (Heat.heat h ~vpage:99 ~now:0);
   check_int "events counted" 2 (Heat.touches h)
 
-let test_heat_ranked_and_iter () =
+(* A fold reports every page with nonzero heat; ranked with the
+   policies' order it is the migrator's hot prefix. *)
+let test_heat_fold_settles_and_prunes () =
   let h = Heat.create ~epoch_ns:1_000_000 in
   Heat.touch h ~vpage:3 ~weight:1 ~now:0;
   Heat.touch h ~vpage:1 ~weight:5 ~now:0;
   Heat.touch h ~vpage:2 ~weight:5 ~now:0;
-  (match Heat.ranked h ~now:0 with
+  let ranked ~now =
+    Heat.fold h ~now
+      (fun ~vpage ~heat acc ->
+        { Placement_policy.pi_vpage = vpage; pi_tenant = 0; pi_node = 0;
+          pi_heat = heat }
+        :: acc)
+      []
+    |> List.sort Placement_policy.hottest_first
+    |> List.map (fun p -> (p.Placement_policy.pi_vpage, p.Placement_policy.pi_heat))
+  in
+  (match ranked ~now:0 with
   | (p0, h0) :: (p1, _) :: (p2, _) :: [] ->
       check_int "hottest first" 1 p0;
       check_int "hottest heat" 5 h0;
       check_int "tie broken by lower vpage" 2 p1;
       check_int "coldest last" 3 p2
   | l -> Alcotest.failf "expected 3 ranked pages, got %d" (List.length l));
-  (* iter drops fully-decayed cells from the table. *)
+  (* One epoch on, page 3's counter is 0: the fold drops it and settles
+     the others. *)
+  Alcotest.(check (list (pair int int)))
+    "settled, zero dropped" [ (1, 2); (2, 2) ] (ranked ~now:1_000_000);
+  check_int "the dropped page reads 0" 0 (Heat.heat h ~vpage:3 ~now:1_000_000);
   let far = 100 * 1_000_000 in
-  Heat.iter h ~now:far (fun ~vpage:_ ~heat:_ -> ());
+  ignore (ranked ~now:far);
   check_int "decayed cells dropped" 0 (Heat.tracked h)
+
+(* The reference for [Heat]: the table before folds pruned.  Every
+   counter ever touched stays, and a fold settles every one of them. *)
+module Census_heat = struct
+  type t = { epoch_ns : int; cells : (int, int * int) Hashtbl.t }
+
+  let settle t (value, epoch) ~now =
+    let e = now / t.epoch_ns in
+    if e <= epoch then (value, epoch)
+    else ((if e - epoch >= 63 then 0 else value lsr (e - epoch)), e)
+
+  let touch t ~vpage ~weight ~now =
+    let value, epoch =
+      match Hashtbl.find_opt t.cells vpage with
+      | Some c -> settle t c ~now
+      | None -> (0, now / t.epoch_ns)
+    in
+    Hashtbl.replace t.cells vpage (value + weight, epoch)
+
+  let heat t ~vpage ~now =
+    match Hashtbl.find_opt t.cells vpage with
+    | None -> 0
+    | Some c ->
+        let c = settle t c ~now in
+        Hashtbl.replace t.cells vpage c;
+        fst c
+
+  let fold t ~now =
+    Hashtbl.fold (fun vpage _ acc -> vpage :: acc) t.cells []
+    |> List.filter_map (fun vpage ->
+           match heat t ~vpage ~now with 0 -> None | h -> Some (vpage, h))
+    |> List.sort compare
+end
+
+type heat_op = Touch of int * int | Read of int | Fold
+
+(* Random histories on a clock that mostly runs forward but steps back up
+   to an epoch at times, as the rack's folds do when another tenant's
+   clock is ahead: every read and every fold agrees with the reference. *)
+let prop_heat_matches_census =
+  let epoch_ns = 4 in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map2 (fun v w -> Touch (v, w)) (int_bound 7) (int_bound 3));
+          (3, map (fun v -> Read v) (int_bound 7));
+          (2, pure Fold);
+        ])
+  in
+  let step = QCheck2.Gen.(pair op (int_range (-epoch_ns) (2 * epoch_ns))) in
+  let print (ops : (heat_op * int) list) =
+    String.concat "; "
+      (List.map
+         (fun (op, d) ->
+           (match op with
+           | Touch (v, w) -> Printf.sprintf "touch %d +%d" v w
+           | Read v -> Printf.sprintf "read %d" v
+           | Fold -> "fold")
+           ^ Printf.sprintf " @%+d" d)
+         ops)
+  in
+  QCheck2.Test.make ~count:500 ~print
+    ~name:"heat folds agree with the unpruned census"
+    QCheck2.Gen.(list_size (int_range 1 60) step)
+    (fun ops ->
+      let h = Heat.create ~epoch_ns in
+      let r = { Census_heat.epoch_ns; cells = Hashtbl.create 8 } in
+      let now = ref 0 in
+      List.for_all
+        (fun (op, d) ->
+          now := max 0 (!now + d);
+          let now = !now in
+          match op with
+          | Touch (vpage, weight) ->
+              Heat.touch h ~vpage ~weight ~now;
+              Census_heat.touch r ~vpage ~weight ~now;
+              true
+          | Read vpage ->
+              Heat.heat h ~vpage ~now = Census_heat.heat r ~vpage ~now
+          | Fold ->
+              List.sort compare
+                (Heat.fold h ~now (fun ~vpage ~heat acc -> (vpage, heat) :: acc) [])
+              = Census_heat.fold r ~now)
+        ops)
 
 let test_heat_rejects_bad_epoch () =
   check_bool "non-positive epoch" true
@@ -68,6 +169,19 @@ let page ?(tenant = 0) ~vpage ~node:n ~heat () =
 
 let mib = 1024 * 1024
 
+(* A hottest-first page list as a plan's input: the nonzero-heat prefix,
+   and the zero-heat tail behind a lazy that records whether a plan
+   forced it. *)
+let feed ?(forced = ref false) pages =
+  {
+    Placement_policy.hot =
+      List.filter (fun p -> p.Placement_policy.pi_heat > 0) pages;
+    cold =
+      lazy
+        (forced := true;
+         List.filter (fun p -> p.Placement_policy.pi_heat = 0) pages);
+  }
+
 let test_policy_registry () =
   check_int "three policies" 3 (List.length Placement_policy.names);
   List.iter
@@ -87,7 +201,7 @@ let test_first_fit_is_inert () =
   check_int "no moves planned" 0
     (List.length
        (p.Placement_policy.plan ~nodes
-          ~pages:[ page ~vpage:0 ~node:0 ~heat:100 () ]
+          ~pages:(feed [ page ~vpage:0 ~node:0 ~heat:100 () ])
           ~budget:8))
 
 let test_heat_promotes_hot_slow_pages () =
@@ -97,8 +211,9 @@ let test_heat_promotes_hot_slow_pages () =
       node ~free:mib ~cap:(2 * mib) 1 ]
   in
   let pages =
-    [ page ~vpage:10 ~node:1 ~heat:9 (); page ~vpage:11 ~node:0 ~heat:9 ();
-      page ~vpage:12 ~node:1 ~heat:1 () ]
+    feed
+      [ page ~vpage:10 ~node:1 ~heat:9 (); page ~vpage:11 ~node:0 ~heat:9 ();
+        page ~vpage:12 ~node:1 ~heat:1 () ]
   in
   match p.Placement_policy.plan ~nodes ~pages ~budget:8 with
   | [ mv ] ->
@@ -108,7 +223,7 @@ let test_heat_promotes_hot_slow_pages () =
 
 let test_heat_demotes_only_under_pressure () =
   let p = Placement_policy.heat_aware ~hot_threshold:4 () in
-  let pages = [ page ~vpage:5 ~node:0 ~heat:1 () ] in
+  let pages = feed [ page ~vpage:5 ~node:0 ~heat:1 () ] in
   (* Plenty of fast headroom: the cold resident stays put. *)
   let roomy =
     [ node ~fast:true ~free:mib ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
@@ -132,7 +247,7 @@ let test_heat_respects_budget_and_draining () =
       node ~free:mib ~cap:(2 * mib) 1 ]
   in
   let pages =
-    List.init 10 (fun i -> page ~vpage:i ~node:1 ~heat:(10 - i) ())
+    feed (List.init 10 (fun i -> page ~vpage:i ~node:1 ~heat:(10 - i) ()))
   in
   let plan = p.Placement_policy.plan ~nodes ~pages ~budget:3 in
   check_int "budget caps the plan" 3 (List.length plan);
@@ -151,7 +266,7 @@ let test_centralized_balances_capacity () =
     [ node ~free:0 ~cap:(4 * mib) 0; node ~free:(4 * mib) ~cap:(4 * mib) 1 ]
   in
   let pages =
-    [ page ~vpage:1 ~node:0 ~heat:9 (); page ~vpage:2 ~node:0 ~heat:0 () ]
+    feed [ page ~vpage:1 ~node:0 ~heat:9 (); page ~vpage:2 ~node:0 ~heat:0 () ]
   in
   (match p.Placement_policy.plan ~nodes ~pages ~budget:1 with
   | [ mv ] ->
@@ -164,6 +279,36 @@ let test_centralized_balances_capacity () =
           ~nodes:
             [ node ~free:mib ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
           ~pages ~budget:4))
+
+(* Each plan forces the zero-heat tail only when it must read cold
+   pages: first-fit never, heat only to demote under fast-tier pressure,
+   centralized only when a live node is overfull. *)
+let test_plans_force_cold_tail_on_demand () =
+  let pages = [ page ~vpage:1 ~node:1 ~heat:9 (); page ~vpage:2 ~node:0 ~heat:0 () ] in
+  let forces (p : Placement_policy.t) nodes =
+    let forced = ref false in
+    let plan = p.Placement_policy.plan ~nodes ~pages:(feed ~forced pages) ~budget:8 in
+    (!forced, List.map (fun mv -> mv.Placement_policy.mv_vpage) plan)
+  in
+  let roomy =
+    [ node ~fast:true ~free:mib ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
+  and pressed =
+    [ node ~fast:true ~free:0 ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
+  in
+  let check name want got =
+    Alcotest.(check (pair bool (list int))) name want got
+  in
+  check "first-fit under pressure" (false, [])
+    (forces (Placement_policy.first_fit ()) pressed);
+  check "heat with fast-tier room promotes only" (false, [ 1 ])
+    (forces (Placement_policy.heat_aware ()) roomy);
+  check "heat under pressure demotes the cold page" (true, [ 2 ])
+    (forces (Placement_policy.heat_aware ()) pressed);
+  check "centralized on a balanced rack" (false, [])
+    (forces (Placement_policy.centralized ()) roomy);
+  check "centralized sheds the cold page off an overfull node" (true, [ 2 ])
+    (forces (Placement_policy.centralized ())
+       [ node ~free:0 ~cap:(4 * mib) 0; node ~free:(4 * mib) ~cap:(4 * mib) 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Migrator *)
@@ -191,7 +336,7 @@ let test_migrator_epoch_gating () =
   let nodes =
     [ node ~fast:true ~free:mib ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
   in
-  let pages = [ page ~vpage:10 ~node:1 ~heat:9 () ] in
+  let pages = feed [ page ~vpage:10 ~node:1 ~heat:9 () ] in
   let env, moves, flushes, charges = stub_env ~nodes ~pages () in
   let m =
     Migrator.create
@@ -215,7 +360,7 @@ let test_migrator_counts_failures () =
   let nodes =
     [ node ~fast:true ~free:mib ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
   in
-  let pages = [ page ~vpage:10 ~node:1 ~heat:9 () ] in
+  let pages = feed [ page ~vpage:10 ~node:1 ~heat:9 () ] in
   let env, _, _, charges = stub_env ~move_result:None ~nodes ~pages () in
   let m =
     Migrator.create
@@ -226,6 +371,25 @@ let test_migrator_counts_failures () =
   check_int "declined move counted" 1 (Migrator.failed m);
   check_int "nothing migrated" 0 (Migrator.migrations m);
   check_int "failed moves are not charged" 0 (List.length !charges)
+
+let test_migrator_first_fit_never_forces_tail () =
+  let nodes =
+    [ node ~fast:true ~free:0 ~cap:(2 * mib) 0; node ~free:mib ~cap:(2 * mib) 1 ]
+  in
+  let forced = ref false in
+  let pages = feed ~forced [ page ~vpage:10 ~node:0 ~heat:0 () ] in
+  let env, _, flushes, _ = stub_env ~nodes ~pages () in
+  let m =
+    Migrator.create ~policy:(Placement_policy.first_fit ()) ~epoch_ns:1000
+      ~budget:8 ~page_bytes:4096 env
+  in
+  for k = 1 to 5 do
+    Migrator.tick m ~now:(k * 1000)
+  done;
+  Migrator.force m ~now:5500;
+  check_int "every epoch ran" 6 (Migrator.epochs m);
+  check_bool "the zero-heat tail was never built" false !forced;
+  check_int "nothing to flush for an empty plan" 0 !flushes
 
 (* ------------------------------------------------------------------ *)
 (* Rack-ops grammar *)
@@ -283,9 +447,11 @@ let () =
         [
           Alcotest.test_case "accumulates and decays" `Quick
             test_heat_accumulates_and_decays;
-          Alcotest.test_case "ranked and iter" `Quick test_heat_ranked_and_iter;
+          Alcotest.test_case "fold settles and prunes" `Quick
+            test_heat_fold_settles_and_prunes;
           Alcotest.test_case "rejects bad epoch" `Quick
             test_heat_rejects_bad_epoch;
+          QCheck_alcotest.to_alcotest ~long:false prop_heat_matches_census;
         ] );
       ( "policy",
         [
@@ -299,6 +465,8 @@ let () =
             test_heat_respects_budget_and_draining;
           Alcotest.test_case "centralized balances capacity" `Quick
             test_centralized_balances_capacity;
+          Alcotest.test_case "cold tail forced only on demand" `Quick
+            test_plans_force_cold_tail_on_demand;
         ] );
       ( "migrator",
         [
@@ -306,6 +474,8 @@ let () =
             test_migrator_epoch_gating;
           Alcotest.test_case "counts declined moves" `Quick
             test_migrator_counts_failures;
+          Alcotest.test_case "first-fit never forces the cold tail" `Quick
+            test_migrator_first_fit_never_forces_tail;
         ] );
       ( "rack-ops",
         [

@@ -376,6 +376,106 @@ let test_placement_quota_conserved_by_migration () =
   check_bool "pages migrated under the quota" true (r.Rack.r_migrations > 0);
   check_int "no divergence" 0 (total_mismatches r)
 
+(* The README heat rack's replay (kv-zipf,kv-uniform, 3 nodes, 64 FMem
+   pages, heat policy) allocates little per access.  A migration epoch
+   folds the heat tables instead of building and sorting a record for
+   every backed page; that census alone cost ~100 minor words per
+   access. *)
+let test_heat_rack_replay_allocation () =
+  let e = Rack.start (placement_cfg ~policy:"heat" ()) placement_tenants in
+  let accesses = ref 0 in
+  let w0 = Gc.minor_words () in
+  let rec replay () =
+    match Rack.step e with
+    | 0 -> ()
+    | n ->
+        accesses := !accesses + n;
+        replay ()
+  in
+  replay ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int !accesses in
+  let r = Rack.finish e in
+  check_bool "pages migrated" true (r.Rack.r_migrations > 0);
+  check_bool
+    (Printf.sprintf "%.1f minor words per access (at most 25)" words)
+    true (words <= 25.0)
+
+(* The migrator's feed against the census it replaced: every owned,
+   backed page below the shared segment, with its heat read page by
+   page, sorted hottest first with ties by (tenant, vpage).  The hot
+   prefix must be the census's nonzero pages and the forced tail its
+   zero-heat pages, both in census order — on racks whose pages move
+   under add, drain and rebalance ops, a node crash, and every policy. *)
+let census e ~now =
+  let seg_first = (1 lsl 30) / Units.page_size in
+  let pages = ref [] in
+  for i = 0 to Rack.tenant_count e - 1 do
+    let heat = Rack.private_heat e ~tenant:i in
+    Kona.Resource_manager.iter_backed_pages
+      (Kona.Runtime.resource_manager (Rack.runtime e ~tenant:i))
+      (fun ~vpage ~node ~remote_addr:_ ->
+        if vpage < seg_first then
+          pages :=
+            (Kona_placement.Heat.heat heat ~vpage ~now, i, vpage, node) :: !pages)
+  done;
+  List.sort
+    (fun (h1, t1, v1, _) (h2, t2, v2, _) ->
+      if h1 <> h2 then compare h2 h1 else compare (t1, v1) (t2, v2))
+    !pages
+
+let feed_matches_census e =
+  let now = Rack.now_ns e in
+  let feed = Rack.migration_feed e ~now in
+  let tuple (p : Kona_placement.Placement_policy.page_info) =
+    Kona_placement.Placement_policy.(p.pi_heat, p.pi_tenant, p.pi_vpage, p.pi_node)
+  in
+  let hot, cold = List.partition (fun (h, _, _, _) -> h > 0) (census e ~now) in
+  List.map tuple feed.Kona_placement.Placement_policy.hot = hot
+  && List.map tuple (Lazy.force feed.Kona_placement.Placement_policy.cold) = cold
+
+let prop_feed_matches_census =
+  let open QCheck2.Gen in
+  let op =
+    oneof
+      [
+        map (fun ms -> Printf.sprintf "add@%dms" ms) (int_range 1 8);
+        map2 (fun ms id -> Printf.sprintf "drain@%dms:id=%d" ms id)
+          (int_range 1 8) (int_bound 2);
+        map (fun ms -> Printf.sprintf "rebalance@%dms" ms) (int_range 1 8);
+      ]
+  in
+  let gen =
+    tup4 (int_bound 1000)
+      (oneofl [ "first-fit"; "heat"; "centralized" ])
+      (list_size (int_range 1 4) op)
+      (pair (int_range 1 8) (int_bound 2))
+  in
+  let spec (seed, policy, ops, (crash_ms, crash_id)) =
+    ( placement_cfg ~policy ~replicas:1
+        ~faults:
+          (Fault_spec.parse_exn
+             (Printf.sprintf "node-crash@%dms:id=%d" crash_ms crash_id))
+        ~ops:(Rack_ops.parse_exn (String.concat ";" ops))
+        (),
+      List.map
+        (fun (t : Rack.tenant_cfg) -> { t with Rack.seed = t.Rack.seed + seed })
+        placement_tenants )
+  in
+  let print (seed, policy, ops, (crash_ms, crash_id)) =
+    Printf.sprintf "seed +%d, %s, ops %s, node-crash@%dms:id=%d" seed policy
+      (String.concat ";" ops) crash_ms crash_id
+  in
+  QCheck2.Test.make ~count:4 ~print
+    ~name:"migration feed equals the backed-page census" gen (fun c ->
+      let cfg, tenants = spec c in
+      let e = Rack.start cfg tenants in
+      let ok = ref true and steps = ref 0 in
+      while !ok && Rack.step e > 0 do
+        incr steps;
+        if !steps mod 40 = 0 then ok := feed_matches_census e
+      done;
+      !ok && feed_matches_census e)
+
 (* Cross-commit behaviour pins: the MD5 of the concatenated per-tenant
    fingerprints of three fixed smoke racks.  Same-build determinism tests
    cannot catch a refactor that changes behaviour consistently; these
@@ -499,6 +599,24 @@ let test_rack_validates_tenants () =
                mem_quota = None; seed = 1 };
            ]))
 
+(* A segment the initial nodes cannot hold is refused by validation,
+   before the image or any trace is allocated: slab rounding counts (257
+   pages need two 1 MiB slabs), and a size whose image could never be
+   allocated fails the same way, not with Out_of_memory. *)
+let test_rack_rejects_unfittable_segment () =
+  let refused cfg =
+    match Rack.start cfg (tenants ()) with
+    | _ -> false
+    | exception Invalid_argument msg ->
+        String.starts_with ~prefix:"Rack.run: a shared segment" msg
+  in
+  check_bool "257 pages on one 1 MiB node" true
+    (refused
+       { (cfg ()) with Rack.nodes = 1; node_capacity = Units.mib 1;
+         shared_pages = 257 });
+  check_bool "2^40 pages on the default rack" true
+    (refused { (cfg ()) with Rack.shared_pages = 1 lsl 40 })
+
 let () =
   Alcotest.run "kona_rack"
     [
@@ -526,6 +644,8 @@ let () =
             test_rack_multi_writer_determinism;
           Alcotest.test_case "validates tenants" `Quick
             test_rack_validates_tenants;
+          Alcotest.test_case "rejects an unfittable segment" `Quick
+            test_rack_rejects_unfittable_segment;
           Alcotest.test_case "pinned fingerprints" `Quick
             test_pinned_fingerprints;
           Alcotest.test_case "refused immediate ops" `Quick
@@ -543,5 +663,8 @@ let () =
             test_placement_drain_composes_with_failover;
           Alcotest.test_case "migration conserves quota" `Quick
             test_placement_quota_conserved_by_migration;
+          Alcotest.test_case "heat rack replay allocation" `Quick
+            test_heat_rack_replay_allocation;
+          QCheck_alcotest.to_alcotest ~long:false prop_feed_matches_census;
         ] );
     ]
